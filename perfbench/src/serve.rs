@@ -410,28 +410,21 @@ fn run_session(
     })
 }
 
-/// Runs one lane's sessions back to back, timing from `t0`.
-fn drive_lane(
-    addr: SocketAddr,
-    sessions: &[SessionPlan],
-    t0: Instant,
-    quickack: bool,
-) -> Result<Vec<Vec<RequestOutcome>>, String> {
-    sessions
-        .iter()
-        .map(|session| run_session(addr, session, t0, quickack))
-        .collect()
-}
-
-/// Merged histogram buckets `(upper bound, count)` of `metric` across
-/// every victim scope of a `stats` reply.
-fn buckets(stats: &serde::Value, metric: &str) -> Vec<(f64, u64)> {
-    let mut out = Vec::new();
-    for (_, scope) in stats
+/// The scopes (one per victim, plus the server's) of a `stats` reply.
+fn scopes(stats: &serde::Value) -> impl Iterator<Item = &serde::Value> {
+    stats
         .get("victims")
         .and_then(|v| v.as_object())
         .unwrap_or(&[])
-    {
+        .iter()
+        .map(|(_, scope)| scope)
+}
+
+/// Merged histogram buckets `(upper bound, count)` of `metric` across
+/// every scope of a `stats` reply.
+fn buckets(stats: &serde::Value, metric: &str) -> Vec<(f64, u64)> {
+    let mut out = Vec::new();
+    for scope in scopes(stats) {
         let Some(list) = scope
             .get("histograms")
             .and_then(|h| h.get(metric))
@@ -460,17 +453,22 @@ fn num(v: &serde::Value) -> Option<f64> {
     }
 }
 
-/// Counter `name` summed across every victim scope.
+/// Counter `name` summed across every scope.
 fn counter(stats: &serde::Value, name: &str) -> f64 {
-    stats
-        .get("victims")
-        .and_then(|v| v.as_object())
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|(_, scope)| {
+    scopes(stats)
+        .filter_map(|scope| scope.get("counters")?.get(name).and_then(num))
+        .sum()
+}
+
+/// The exact `field` (`sum` or `count`) of histogram `metric`, summed
+/// across every scope.
+fn histogram_total(stats: &serde::Value, metric: &str, field: &str) -> f64 {
+    scopes(stats)
+        .filter_map(|scope| {
             scope
-                .get("counters")
-                .and_then(|c| c.get(name))
+                .get("histograms")?
+                .get(metric)?
+                .get(field)
                 .and_then(num)
         })
         .sum()
@@ -494,36 +492,6 @@ fn bucket_quantile(buckets: &[(f64, u64)], q: f64) -> f64 {
         }
     }
     merged.last().map_or(0.0, |b| b.0)
-}
-
-fn bucket_mean(buckets: &[(f64, u64)]) -> f64 {
-    let total: u64 = buckets.iter().map(|b| b.1).sum();
-    let sum: f64 = buckets
-        .iter()
-        .map(|(le, c)| le * 2f64.powf(-0.125) * *c as f64)
-        .sum();
-    if total == 0 {
-        0.0
-    } else {
-        sum / total as f64
-    }
-}
-
-/// Sum of histogram `metric`'s exact `sum` fields across scopes.
-fn histogram_sum(stats: &serde::Value, metric: &str) -> f64 {
-    stats
-        .get("victims")
-        .and_then(|v| v.as_object())
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|(_, scope)| {
-            scope
-                .get("histograms")
-                .and_then(|h| h.get(metric))
-                .and_then(|h| h.get("sum"))
-                .and_then(num)
-        })
-        .sum()
 }
 
 /// One phase's results.
@@ -631,7 +599,15 @@ fn run_phase(
     let results: Vec<Result<Vec<Vec<RequestOutcome>>, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = lane_plans
             .iter()
-            .map(|sessions| scope.spawn(move || drive_lane(addr, sessions, t0, quickack)))
+            .map(|sessions| {
+                // A lane runs its sessions back to back.
+                scope.spawn(move || {
+                    sessions
+                        .iter()
+                        .map(|session| run_session(addr, session, t0, quickack))
+                        .collect::<Result<Vec<_>, String>>()
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -1042,7 +1018,7 @@ fn layer_metrics(
     let e2e_s = tracer.total_seconds("client.request");
     let handler_s: f64 = phases
         .iter()
-        .map(|p| histogram_sum(&p.stats, "serve.request_ns"))
+        .map(|p| histogram_total(&p.stats, "serve.request_ns", "sum"))
         .sum::<f64>()
         / 1e9;
     let attributed_s = tracer.self_seconds().get("gen.lag").copied().unwrap_or(0.0)
@@ -1053,7 +1029,16 @@ fn layer_metrics(
     layers.insert("serve.request_ns.p50", bucket_quantile(&request_ns, 0.5));
     layers.insert("serve.queue_wait_ns.p50", bucket_quantile(&queue_ns, 0.5));
     layers.insert("serve.queue_wait_ns.p99", bucket_quantile(&queue_ns, 0.99));
-    layers.insert("serve.flush_occupancy.mean", bucket_mean(&occupancy));
+    let flushed = |field: &str| -> f64 {
+        phases
+            .iter()
+            .map(|p| histogram_total(&p.stats, "serve.flush_occupancy", field))
+            .sum()
+    };
+    layers.insert(
+        "serve.flush_occupancy.mean",
+        flushed("sum") / flushed("count").max(1.0),
+    );
     layers.insert(
         "serve.flush_deadline_share",
         by_deadline / (by_size + by_deadline).max(1.0),
