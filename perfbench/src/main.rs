@@ -4,7 +4,7 @@
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
 //!     --workload serve_paper|oracle_1m|paper_campaigns \
 //!     --seed N --seconds S --trace 0|1 \
-//!     [--low-qps R --high-qps R --ladder R1,R2,...]
+//!     --low-qps R --high-qps R --ladder R1,R2,...
 //! ```
 //!
 //! Run from the root of a checkout. Human-readable results (host
@@ -12,7 +12,8 @@
 //! go to stderr; the last line of stdout is one JSON object with
 //! `correct`, `attempted`, `failed` and `metrics`. With `--trace 0`
 //! the metrics are the end-to-end slots; with `--trace 1` the workload
-//! is run untraced and then traced, and the metrics are the per-layer
+//! is run untraced and then traced (`serve_paper` builds its spans from
+//! the untraced run's timestamps), and the metrics are the per-layer
 //! figures. The exit code is non-zero when a correctness check fails.
 //! See `perfbench/README.md` for the workloads and the metric map.
 
@@ -33,9 +34,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("peak_rss_mb", "MB"),
     ("rate_per_s", "1/s"),
     ("light_p50_ms", "ms"),
-    ("light_tail_ms", "ms"),
     ("heavy_p50_ms", "ms"),
-    ("heavy_tail_ms", "ms"),
     ("light_wall_s", "s"),
     ("heavy_wall_s", "s"),
 ];
@@ -106,10 +105,9 @@ impl Opts {
             seed: DEFAULT_SEED,
             seconds: 10.0,
             trace: false,
-            // The rates BENCHMARK.json's command passes explicitly.
-            low_qps: 70.0,
-            high_qps: 250.0,
-            ladder: vec![400.0, 480.0, 560.0, 640.0],
+            low_qps: f64::NAN,
+            high_qps: f64::NAN,
+            ladder: Vec::new(),
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -142,8 +140,17 @@ impl Opts {
         if opts.seconds.is_nan() || opts.seconds <= 0.0 {
             return Err("--seconds must be positive".into());
         }
-        if opts.ladder.is_empty() || opts.ladder.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("--ladder must list ascending rates".into());
+        // The serve rates have no defaults: BENCHMARK.json's command is
+        // the one place they are set.
+        let rates: Vec<f64> = [opts.low_qps, opts.high_qps]
+            .into_iter()
+            .chain(opts.ladder.iter().copied())
+            .collect();
+        if opts.ladder.is_empty() || rates.iter().any(|r| r.is_nan()) {
+            return Err("--low-qps, --high-qps and --ladder are required".into());
+        }
+        if rates[0] <= 0.0 || rates.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("--low-qps < --high-qps < the --ladder rates must ascend".into());
         }
         Ok(opts)
     }
@@ -297,7 +304,9 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// Options for a smoke-sized run of `workload`.
     pub fn opts(workload: &str, seconds: f64, trace: bool) -> Opts {
+        let serve_rates = "--low-qps 40 --high-qps 120 --ladder 200,300";
         let args: Vec<String> = ["--workload", workload, "--seed", "5", "--seconds"]
             .iter()
             .map(|s| s.to_string())
@@ -306,6 +315,7 @@ mod tests {
                 "--trace".into(),
                 if trace { "1" } else { "0" }.into(),
             ])
+            .chain(serve_rates.split(' ').map(String::from))
             .collect();
         Opts::parse(&args).unwrap()
     }
@@ -331,12 +341,15 @@ mod tests {
     fn options_parse_and_reject_bad_input() {
         let opts = opts("oracle_1m", 2.0, true);
         assert_eq!((opts.seed, opts.seconds, opts.trace), (5, 2.0, true));
-        let bad = |args: &[&str]| {
-            Opts::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).is_err()
+        let bad = |line: &str| {
+            Opts::parse(&line.split(' ').map(String::from).collect::<Vec<_>>()).is_err()
         };
-        assert!(bad(&["--trace", "2"]));
-        assert!(bad(&["--ladder", "5,4"]));
-        assert!(bad(&["--bogus", "1"]));
-        assert!(bad(&["--seed"]));
+        assert!(bad("--trace 2"));
+        assert!(bad("--ladder 5,4"));
+        assert!(bad("--workload oracle_1m --ladder 5"));
+        assert!(bad("--low-qps 4 --high-qps 3 --ladder 5"));
+        assert!(bad("--low-qps 2 --high-qps 6 --ladder 5,7"));
+        assert!(bad("--bogus 1"));
+        assert!(bad("--seed"));
     }
 }

@@ -295,12 +295,7 @@ fn report_e2e(pass: &Pass, shape: Shape, out: &mut Outcome) {
         "ms",
         Some("light_p50_ms"),
     );
-    out.named(
-        "oracle_1m.batch_p95_ms",
-        quantile(&ms, 0.95),
-        "ms",
-        Some("light_tail_ms"),
-    );
+    out.named("oracle_1m.batch_p95_ms", quantile(&ms, 0.95), "ms", None);
     out.named(
         "oracle_1m.redeploy_batch_p50_ms",
         median(&redeploy_ms),
@@ -311,7 +306,7 @@ fn report_e2e(pass: &Pass, shape: Shape, out: &mut Outcome) {
         "oracle_1m.redeploy_batch_p95_ms",
         quantile(&redeploy_ms, 0.95),
         "ms",
-        Some("heavy_tail_ms"),
+        None,
     );
     out.named(
         "oracle_1m.epoch_wall_s",

@@ -33,7 +33,7 @@ use xbar_nn::network::SingleLayerNet;
 use xbar_serve::{Client, Request, Response, ServeConfig, Server, VictimRegistry};
 
 use crate::host;
-use crate::stats::{mean, median, median_time, quantile};
+use crate::stats::{mean, median, quantile};
 use crate::trace::Tracer;
 use crate::{Opts, Outcome};
 
@@ -43,8 +43,8 @@ const RUNG_P99_LIMIT_MS: f64 = 20.0;
 /// is flagged as having fallen behind its schedule.
 const BEHIND_LAG_MS: f64 = RUNG_P99_LIMIT_MS;
 const PROBE_INPUTS: usize = 64;
-/// Stretches a phase is cut into for its gated tail and a rung's p99
-/// (see [`PhaseRun::windowed_quantile_ms`]).
+/// Stretches a phase is cut into for its p99 as a ladder rung (see
+/// [`PhaseRun::windowed_quantile_ms`]).
 const TAIL_WINDOWS: usize = 5;
 
 /// Phase sizes, as shares of `--seconds`, and session length.
@@ -56,15 +56,19 @@ pub struct Plan {
     /// its p99 has at least ten samples beyond it.
     pub rung_queries: f64,
     pub queries_per_session: usize,
-    pub setup_reps: usize,
+    /// Set-up is timed in `setup_blocks` blocks of `setup_block_reps`
+    /// repetitions (see [`run_plan`]).
+    pub setup_blocks: usize,
+    pub setup_block_reps: usize,
 }
 
 pub const FULL: Plan = Plan {
-    low_share: 0.35,
-    high_share: 0.25,
-    rung_queries: 1000.0,
+    low_share: 0.4,
+    high_share: 0.3,
+    rung_queries: 1500.0,
     queries_per_session: 64,
-    setup_reps: 31,
+    setup_blocks: 7,
+    setup_block_reps: 5,
 };
 
 const VICTIMS: [(&str, usize); 2] = [("digits", 784), ("objects", 3072)];
@@ -122,6 +126,22 @@ fn start_server(victims: &Victims, journal: &PathBuf) -> Result<Server, String> 
         ..ServeConfig::default()
     };
     Server::start("127.0.0.1:0", victims.registry()?, config).map_err(|e| e.to_string())
+}
+
+/// One `hello`, query and `close` per victim.
+fn warm(server: &Server) -> Result<(), String> {
+    let mut client = Client::connect(server.local_addr()).map_err(|e| e.to_string())?;
+    for (i, (name, dim)) in VICTIMS.into_iter().enumerate() {
+        let id = format!("setup-{i}");
+        client
+            .hello(&id, Some(name), Some(i as u64), None)
+            .map_err(|e| e.to_string())?;
+        client
+            .query(&id, &[vec![0.5; dim]])
+            .map_err(|e| e.to_string())?;
+        client.close(&id).map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -684,23 +704,58 @@ fn check_replies(
     Ok(())
 }
 
-/// The low, high and ladder phases of one pass.
+/// The low and high phases of one run, and what the ladder found. A
+/// rung's phase is dropped once summarized: its request lines would
+/// otherwise count towards the run's peak RSS.
 struct Pass {
     low: PhaseRun,
     high: PhaseRun,
-    ladder: Vec<PhaseRun>,
+    /// Requests the ladder's rungs sent, and how many of them failed.
+    ladder_sent: usize,
+    ladder_failed: usize,
     max_qps: f64,
-    max_qps_passed: bool,
 }
 
-fn run_pass(
-    victims: &Victims,
-    opts: &Opts,
-    plan: Plan,
-    pass_key: u64,
-    out: &mut Outcome,
-) -> Result<Pass, String> {
-    let key = |phase: u64| mix(mix(opts.seed, pass_key), phase);
+/// How one phase fares against the `max_qps` limit.
+struct Rung {
+    achieved: f64,
+    p99: f64,
+    passed: bool,
+}
+
+impl Rung {
+    fn of(phase: &PhaseRun) -> Rung {
+        let p99 = phase.windowed_quantile_ms(0.99, TAIL_WINDOWS);
+        // A failed request, or a growing backlog, misses the limit.
+        let refused = phase.failed() > 0 || phase.backlog_grew();
+        Rung {
+            achieved: phase.achieved_qps(),
+            p99,
+            passed: !refused && p99 <= RUNG_P99_LIMIT_MS,
+        }
+    }
+}
+
+/// The rate at which p99 reaches the limit, from phases in ascending
+/// offered rate; `None` if none of them meets it. Between the highest
+/// passing phase and the one above it the rate is interpolated (p99
+/// grows roughly exponentially with rate near the knee, so in log p99);
+/// a refused phase above counts with its measured p99, or, if that is
+/// within the limit, pins the rate to the passing phase's.
+fn max_qps(rungs: &[Rung]) -> Option<f64> {
+    let k = rungs.iter().rposition(|r| r.passed)?;
+    let ok = &rungs[k];
+    Some(match rungs.get(k + 1) {
+        Some(bad) if bad.p99 > RUNG_P99_LIMIT_MS => {
+            let at = (RUNG_P99_LIMIT_MS.ln() - ok.p99.ln()) / (bad.p99.ln() - ok.p99.ln());
+            ok.achieved + (bad.achieved - ok.achieved) * at
+        }
+        _ => ok.achieved,
+    })
+}
+
+fn run_pass(victims: &Victims, opts: &Opts, plan: Plan, out: &mut Outcome) -> Result<Pass, String> {
+    let key = |phase: u64| mix(opts.seed, phase);
     let low = run_phase(
         victims,
         opts.low_qps,
@@ -727,14 +782,13 @@ fn run_pass(
         high.failed() == 0,
         format!("serve_paper high: {}", high.counts()),
     );
-    // Every rung runs, so one noisy rung below the knee cannot end the
-    // ladder early: `max_qps` comes from the highest passing rung.
-    let mut ladder = Vec::new();
-    // Per rung: achieved q/s, p99 ms, refused (failures or a growing
-    // backlog), passed.
-    let mut rungs: Vec<(f64, f64, bool, bool)> = Vec::new();
+    // The low and high phases are the ladder's first two rungs. The
+    // ladder climbs until two rungs in a row miss the limit, so one noisy
+    // rung below the knee cannot end it.
+    let mut rungs = vec![Rung::of(&low), Rung::of(&high)];
+    let (mut ladder_sent, mut ladder_failed) = (0, 0);
     for (i, &rate) in opts.ladder.iter().enumerate() {
-        let rung = run_phase(
+        let phase = run_phase(
             victims,
             rate,
             plan.rung_queries / rate,
@@ -742,52 +796,41 @@ fn run_pass(
             plan,
             true,
         )?;
-        check_replies(victims, &rung, &format!("rung {rate}"), out)?;
-        let p99 = rung.windowed_quantile_ms(0.99, TAIL_WINDOWS);
-        let achieved = rung.achieved_qps();
-        let refused = rung.failed() > 0 || rung.backlog_grew();
-        let passed = !refused && p99 <= RUNG_P99_LIMIT_MS;
+        check_replies(victims, &phase, &format!("rung {rate}"), out)?;
+        let rung = Rung::of(&phase);
         eprintln!(
-            "  rung {rate} q/s: {} achieved {achieved:.1} q/s, p99 {p99:.2} ms, {}",
-            rung.counts(),
-            if passed { "pass" } else { "fail" }
+            "  rung {rate} q/s: {} achieved {:.1} q/s, p99 {:.2} ms, {}",
+            phase.counts(),
+            rung.achieved,
+            rung.p99,
+            if rung.passed { "pass" } else { "fail" }
         );
-        rungs.push((achieved, p99, refused, passed));
-        ladder.push(rung);
-    }
-    let best = rungs.iter().rposition(|r| r.3);
-    let max_qps = match best {
-        None => rungs[0].0,
-        Some(k) if k + 1 == rungs.len() || rungs[k + 1].2 => rungs[k].0,
-        // Between the highest passing rung and the one above it,
-        // interpolate the rate at which p99 reaches the limit (p99 grows
-        // roughly exponentially with rate near the knee, so in log p99).
-        Some(k) => {
-            let ((ok_qps, ok_p99, ..), (bad_qps, bad_p99, ..)) = (rungs[k], rungs[k + 1]);
-            let at = (RUNG_P99_LIMIT_MS.ln() - ok_p99.ln()) / (bad_p99.ln() - ok_p99.ln());
-            ok_qps + (bad_qps - ok_qps) * at
+        rungs.push(rung);
+        ladder_sent += phase.all().count();
+        ladder_failed += phase.failed();
+        if rungs.iter().rev().take(2).all(|r| !r.passed) {
+            break;
         }
-    };
+    }
+    if rungs.last().is_some_and(|r| r.passed) {
+        out.notes.push(
+            "serve_paper: the top ladder rung met the limit; max_qps is capped at its rate".into(),
+        );
+    }
+    let max_qps = max_qps(&rungs);
+    out.check(
+        max_qps.is_some(),
+        format!(
+            "serve_paper: no phase met p99 <= {RUNG_P99_LIMIT_MS} ms, so max_qps is unmeasured"
+        ),
+    );
     Ok(Pass {
-        max_qps,
-        max_qps_passed: best.is_some(),
+        max_qps: max_qps.unwrap_or(f64::NAN),
         low,
         high,
-        ladder,
+        ladder_sent,
+        ladder_failed,
     })
-}
-
-impl Pass {
-    fn phases(&self) -> impl Iterator<Item = &PhaseRun> {
-        [&self.low, &self.high].into_iter().chain(&self.ladder)
-    }
-
-    /// Mean single-query latency over the low and high phases.
-    fn mean_latency_ms(&self) -> f64 {
-        let mut all = self.low.query_latencies_ms();
-        all.extend(self.high.query_latencies_ms());
-        mean(&all)
-    }
 }
 
 pub fn run(opts: &Opts) -> Result<Outcome, String> {
@@ -798,37 +841,56 @@ pub fn run_plan(opts: &Opts, plan: Plan) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     std::fs::create_dir_all(crate::out_dir()).map_err(|e| e.to_string())?;
     // Set-up: deploy both victims, start the journaled server, and take
-    // one reply from each victim (so prepared handles are warm).
+    // one reply from each victim (so prepared handles are warm). Each
+    // repetition's server is shut down, untimed, before the next starts;
+    // the run keeps the last repetition's victims (deployment is a
+    // function of the seed). The server's accept loop polls every 5 ms,
+    // so a set-up takes one poll longer or not depending on whether the
+    // loop's first poll beats the client's connect: single times are
+    // bimodal, and their median flips between the modes. `setup_s` is
+    // therefore the median of block means, which follow the share of
+    // slow set-ups smoothly.
     let setup_journal = journal_path("setup");
-    let (setup_s, ready) = median_time(plan.setup_reps, || -> Result<(Victims, Server), String> {
+    let reps = plan.setup_blocks.max(1) * plan.setup_block_reps.max(1);
+    let mut setup_times = Vec::with_capacity(reps);
+    let mut deployed = None;
+    for _ in 0..reps {
+        let start = Instant::now();
         let victims = Victims::deploy(opts.seed)?;
         let server = start_server(&victims, &setup_journal)?;
-        let mut client = Client::connect(server.local_addr()).map_err(|e| e.to_string())?;
-        for (i, (name, dim)) in VICTIMS.into_iter().enumerate() {
-            let id = format!("setup-{i}");
-            client
-                .hello(&id, Some(name), Some(i as u64), None)
-                .map_err(|e| e.to_string())?;
-            client
-                .query(&id, &[vec![0.5; dim]])
-                .map_err(|e| e.to_string())?;
-            client.close(&id).map_err(|e| e.to_string())?;
-        }
-        Ok((victims, server))
-    });
-    let (victims, server) = ready?;
-    server.shutdown();
-    let _ = std::fs::remove_file(&setup_journal);
-    out.named("serve_paper.setup_s", setup_s, "s", Some("setup_s"));
+        let warmed = warm(&server);
+        setup_times.push(start.elapsed().as_secs_f64());
+        server.shutdown();
+        let _ = std::fs::remove_file(&setup_journal);
+        warmed?;
+        deployed = Some(victims);
+    }
+    let victims = deployed.expect("at least one set-up repetition");
+    let block_means: Vec<f64> = setup_times
+        .chunks(plan.setup_block_reps.max(1))
+        .map(mean)
+        .collect();
+    out.named(
+        "serve_paper.setup_s",
+        median(&block_means),
+        "s",
+        Some("setup_s"),
+    );
 
-    let pass = run_pass(&victims, opts, plan, 0, &mut out)?;
+    // Created before the pass: spans recorded after it may only start
+    // after the tracer's epoch.
+    let tracer = Tracer::new(opts.trace);
+    let pass = run_pass(&victims, opts, plan, &mut out)?;
     report_e2e(&pass, &mut out);
 
     if opts.trace {
-        let tracer = Tracer::new(true);
-        let traced = run_pass(&victims, opts, plan, 1, &mut out)?;
-        record_spans(&traced, &tracer);
-        layer_metrics(&victims, &pass, &traced, &tracer, &mut out)?;
+        // The client spans are built from the timestamps every pass
+        // keeps anyway, so the layer figures come from the pass above
+        // and no second pass is needed.
+        let record_start = Instant::now();
+        record_spans(&pass, &tracer);
+        let record_s = record_start.elapsed().as_secs_f64();
+        layer_metrics(&victims, &pass, &tracer, record_s, &mut out)?;
         // The high phase again, with a client that leaves delayed ACKs
         // on: replies the server holds back (Nagle) wait for them.
         let default_ack = run_phase(
@@ -851,7 +913,9 @@ pub fn run_plan(opts: &Opts, plan: Plan) -> Result<Outcome, String> {
 }
 
 fn report_e2e(pass: &Pass, out: &mut Outcome) {
-    for phase in pass.phases() {
+    out.attempted += pass.ladder_sent as u64;
+    out.failed += pass.ladder_failed as u64;
+    for phase in [&pass.low, &pass.high] {
         out.attempted += phase.all().count() as u64;
         out.failed += phase.failed() as u64;
     }
@@ -869,32 +933,15 @@ fn report_e2e(pass: &Pass, out: &mut Outcome) {
     out.named("low.p50_ms", median(&low), "ms", Some("light_p50_ms"));
     out.named("low.p90_ms", quantile(&low, 0.90), "ms", None);
     out.named("low.p95_ms", quantile(&low, 0.95), "ms", None);
-    out.named(
-        "low.windowed_p95_ms",
-        pass.low.windowed_quantile_ms(0.95, TAIL_WINDOWS),
-        "ms",
-        Some("light_tail_ms"),
-    );
     out.named("low.p99_ms", quantile(&low, 0.99), "ms", None);
     out.named("high.p50_ms", median(&high), "ms", Some("heavy_p50_ms"));
     out.named("high.p90_ms", quantile(&high, 0.90), "ms", None);
     out.named("high.p95_ms", quantile(&high, 0.95), "ms", None);
-    out.named(
-        "high.windowed_p95_ms",
-        pass.high.windowed_quantile_ms(0.95, TAIL_WINDOWS),
-        "ms",
-        Some("heavy_tail_ms"),
-    );
     out.named("high.p99_ms", quantile(&high, 0.99), "ms", None);
     out.named("low.wall_s", pass.low.wall_s, "s", Some("light_wall_s"));
     out.named("high.wall_s", pass.high.wall_s, "s", Some("heavy_wall_s"));
     out.named("low.offered_qps", pass.low.rate, "1/s", None);
     out.named("high.offered_qps", pass.high.rate, "1/s", None);
-    if !pass.max_qps_passed {
-        out.notes.push(format!(
-            "serve_paper: no ladder rung met p99 <= {RUNG_P99_LIMIT_MS} ms; max_qps reports the lowest rung's achieved rate"
-        ));
-    }
     for (label, phase) in [("low", &pass.low), ("high", &pass.high)] {
         let lag = quantile(&phase.lags_ms(), 0.99);
         if lag > BEHIND_LAG_MS {
@@ -905,7 +952,8 @@ fn report_e2e(pass: &Pass, out: &mut Outcome) {
     }
 }
 
-/// Client-side spans of the traced pass: each request from due to reply
+/// Client-side spans of the low and high phases, built from the
+/// timestamps `run_session` keeps: each request from due to reply
 /// (`client.request`), with the generator's lag before sending as a
 /// child (`gen.lag`).
 fn record_spans(pass: &Pass, tracer: &Tracer) {
@@ -920,14 +968,18 @@ fn record_spans(pass: &Pass, tracer: &Tracer) {
     }
 }
 
+/// Per-layer figures of the low and high phases of `pass`. `record_s`
+/// is the time taken to record the pass's client spans: the tracing
+/// overhead those phases would have carried had the spans been recorded
+/// as the requests ran.
 fn layer_metrics(
     victims: &Victims,
-    untraced: &Pass,
-    traced: &Pass,
+    pass: &Pass,
     tracer: &Tracer,
+    record_s: f64,
     out: &mut Outcome,
 ) -> Result<(), String> {
-    let phases = [&traced.low, &traced.high];
+    let phases = [&pass.low, &pass.high];
     let merged = |metric: &str| -> Vec<(f64, u64)> {
         phases
             .iter()
@@ -1061,7 +1113,7 @@ fn layer_metrics(
     layers.insert("unattributed_share", 1.0 - attributed_s / e2e_s);
     layers.insert(
         "trace_overhead_share",
-        traced.mean_latency_ms() / untraced.mean_latency_ms() - 1.0,
+        record_s / phases.iter().map(|p| p.wall_s).sum::<f64>(),
     );
     Ok(())
 }
@@ -1072,22 +1124,37 @@ mod tests {
 
     #[test]
     fn smoke_sized_run_is_correct_and_complete() {
-        let mut opts = crate::tests::opts("serve_paper", 1.0, true);
-        opts.low_qps = 40.0;
-        opts.high_qps = 120.0;
-        opts.ladder = vec![100.0, 200.0];
+        let opts = crate::tests::opts("serve_paper", 1.0, true);
         let plan = Plan {
             low_share: 0.3,
             high_share: 0.3,
             rung_queries: 20.0,
             queries_per_session: 8,
-            setup_reps: 1,
+            setup_blocks: 1,
+            setup_block_reps: 2,
         };
         let out = run_plan(&opts, plan).unwrap();
         assert!(out.problems.is_empty(), "{:?}", out.problems);
         crate::tests::assert_slots_filled(&out);
         assert!(out.layers["serve.request_ns.p50"] > 0.0);
         assert!(out.layers["core.observe_us"] > 0.0);
+    }
+
+    #[test]
+    fn max_qps_interpolates_past_the_highest_passing_rung() {
+        let rung = |achieved, p99: f64| Rung {
+            achieved,
+            p99,
+            passed: p99 <= RUNG_P99_LIMIT_MS,
+        };
+        assert_eq!(max_qps(&[rung(70.0, 40.0), rung(250.0, 60.0)]), None);
+        assert_eq!(max_qps(&[rung(70.0, 5.0), rung(250.0, 10.0)]), Some(250.0));
+        // p99 10 -> 40 ms: the 20 ms limit is halfway in log p99.
+        let q = max_qps(&[rung(250.0, 10.0), rung(400.0, 40.0), rung(500.0, 90.0)]);
+        assert!((q.unwrap() - 325.0).abs() < 1e-9);
+        // A noisy miss below the highest passing rung does not count.
+        let q = max_qps(&[rung(250.0, 30.0), rung(400.0, 10.0), rung(500.0, 10.0)]);
+        assert_eq!(q, Some(500.0));
     }
 
     #[test]
