@@ -1,8 +1,9 @@
 //! # xbar-bench
 //!
-//! The experiment and benchmark harness: shared setup code used by the
-//! binaries that regenerate every table and figure of the paper, plus the
-//! Criterion micro-benchmarks.
+//! The experiment harness: shared setup code used by the binaries that
+//! regenerate every table and figure of the paper. The repository's
+//! performance benchmark is the separate `perfbench/` package (see its
+//! `README.md`), declared in `BENCHMARK.json`.
 //!
 //! Experiment binaries (run with `cargo run -p xbar-bench --release --bin <name>`):
 //!
@@ -25,19 +26,12 @@
 //! [`figures`]. The same drivers back the `xbar campaign` CLI
 //! subcommand.
 //!
-//! [`mvmbench`] backs `xbar bench mvm`: the naive-vs-blocked batched
-//! MVM microbenchmark behind CI's `BENCH_mvm.json` artifact.
-//!
 //! [`faultsweep`] backs `xbar faults sweep`: attack-success-vs-fault-rate
 //! robustness curves over the [`xbar_faults`] injection subsystem.
 //!
 //! [`lifetimesweep`] backs `xbar lifetime sweep`: attack efficacy over a
 //! decaying hardware lifetime — a (drift time × transient rate ×
 //! defense) cross-sweep with probe recalibration.
-//!
-//! [`servebench`] backs `xbar bench serve`: campaign-service
-//! throughput at 1/8/64 concurrent sessions, cross-session batch
-//! coalescing on vs off, behind CI's `BENCH_serve.json` artifact.
 //!
 //! [`infersweep`] backs `xbar infer sweep`: Bayesian column-norm
 //! recovery from noisy power readings ([`xbar_infer`]) across query
@@ -49,8 +43,6 @@ pub mod faultsweep;
 pub mod figures;
 pub mod infersweep;
 pub mod lifetimesweep;
-pub mod mvmbench;
-pub mod servebench;
 pub mod setup;
 
 pub use setup::*;

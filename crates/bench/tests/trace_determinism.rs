@@ -140,7 +140,7 @@ fn tiny_fig4_trace_counters_are_thread_invariant() {
     assert_thread_invariant(&tiny_campaign(), "tiny");
 }
 
-/// The full acceptance criterion: `fig4 --quick` traced at 1 and 4
+/// The full acceptance check: `fig4 --quick` traced at 1 and 4
 /// threads. ~20 s per run in release, several minutes in debug — so
 /// debug builds skip it and CI runs it with `cargo test --release`.
 #[test]

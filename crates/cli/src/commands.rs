@@ -29,10 +29,9 @@ pub type CliError = Box<dyn std::error::Error>;
 /// Returns the subcommand's failure, or an [`ArgsError`] for an unknown
 /// command.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    // Only `trace`, `bench`, `faults`, `lifetime`, `infer` and `serve`
-    // take positional arguments (their action, plus the trace path).
+    // Only `trace`, `faults`, `lifetime`, `infer` and `serve` take
+    // positional arguments (their action, plus the trace path).
     if args.command != "trace"
-        && args.command != "bench"
         && args.command != "faults"
         && args.command != "lifetime"
         && args.command != "infer"
@@ -47,7 +46,6 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         "blackbox" => cmd_blackbox(args),
         "recover" => cmd_recover(args),
         "campaign" => cmd_campaign(args),
-        "bench" => cmd_bench(args),
         "faults" => cmd_faults(args),
         "lifetime" => cmd_lifetime(args),
         "infer" => cmd_infer(args),
@@ -91,17 +89,6 @@ COMMANDS:
             [--faults SPEC.json]
             [--transients FLIP[,JITTER]] [--progress stderr|json|none]
             [--progress-every N]
-  bench     micro-benchmarks
-            mvm [--quick] [--out FILE]   size x threads backend matrix:
-                                         naive vs blocked vs parallel
-                                         batched MVM, prepared-handle
-                                         hit/miss cost, FaultyBackend
-                                         overhead (bit-identity checked;
-                                         writes results/BENCH_mvm.json)
-            serve [--quick] [--out FILE] campaign-service throughput at
-                                         1/8/64 concurrent sessions,
-                                         coalescing on vs off (writes
-                                         results/BENCH_serve.json)
   serve     multi-tenant attack-campaign service (NDJSON over TCP)
             host --model FILE [--name NAME] [--addr HOST:PORT]
                  [--workers N] [--max-sessions N] [--max-inflight N]
@@ -292,21 +279,6 @@ fn cmd_campaign(args: &ParsedArgs) -> Result<(), CliError> {
         }
     };
     run(&opts).map_err(|e| -> CliError { e.into() })
-}
-
-fn cmd_bench(args: &ParsedArgs) -> Result<(), CliError> {
-    match args.positional(0) {
-        Some("mvm") => {
-            xbar_bench::mvmbench::run_mvm_bench(args.flag("quick"), args.get("out"))?;
-            Ok(())
-        }
-        Some("serve") => {
-            xbar_bench::servebench::run_serve_bench(args.flag("quick"), args.get("out"))?;
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown bench {other:?} (expected: mvm, serve)").into()),
-        None => Err("usage: xbar bench mvm|serve [--quick] [--out FILE]".into()),
-    }
 }
 
 /// Parses `--access none|label|raw` into an [`OutputAccess`].
@@ -1218,22 +1190,6 @@ mod tests {
                 dispatch(&parse(&["campaign", "--figure", "fig4", "--backend", bad])).unwrap_err();
             assert!(err.to_string().contains("--backend"), "{bad:?} -> {err}");
         }
-    }
-
-    #[test]
-    fn bench_mvm_quick_writes_report() {
-        let out = tmp("bench-mvm.json");
-        dispatch(&parse(&["bench", "mvm", "--quick", "--out", &out])).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"bit_identical\": true"), "{text}");
-        std::fs::remove_file(&out).ok();
-    }
-
-    #[test]
-    fn bench_argument_validation() {
-        // Missing and unknown bench actions are rejected.
-        assert!(dispatch(&parse(&["bench"])).is_err());
-        assert!(dispatch(&parse(&["bench", "frobnicate"])).is_err());
     }
 
     #[test]

@@ -15,9 +15,8 @@ use crate::plan::FaultPlan;
 /// wrapper delegates directly — no copy, no fault events — so outputs
 /// *and* traces are bit-identical to the bare backend; the property
 /// tests in `tests/proptest_faults.rs` pin that contract. With a real
-/// plan, `prepare` pays one `O(M·N)` faulted-copy materialisation
-/// (measured by `xbar bench mvm` as the fault-injection overhead row)
-/// and re-keys the handle to the *source* array's generation
+/// plan, `prepare` pays one `O(M·N)` faulted-copy materialisation and
+/// re-keys the handle to the *source* array's generation
 /// ([`PreparedEval::rekey`]), so callers keep driving evaluation with
 /// the array they hold while every number comes from the faulted
 /// snapshot inside the handle. Staleness tracks the source array: if it

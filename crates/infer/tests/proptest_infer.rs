@@ -67,7 +67,7 @@ fn victim_oracle(noise: f64, seed: u64) -> Oracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Acceptance criterion: multi-chain draws are bit-identical at
+    /// Acceptance check: multi-chain draws are bit-identical at
     /// any worker-thread count. Every chain is keyed by
     /// `(campaign_seed, chain_index, step)`, so scheduling cannot
     /// reorder randomness.

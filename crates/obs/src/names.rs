@@ -168,6 +168,10 @@ pub const SERVE_QUERIES: &str = "serve.queries";
 /// ...).
 pub const SERVE_REJECT_PREFIX: &str = "serve.reject.";
 
+/// Live counter: failed `accept` calls on the listening socket (the
+/// accept loop backs off and retries).
+pub const SERVE_ACCEPT_ERRORS: &str = "serve.accept_errors";
+
 /// Live histogram (ns): end-to-end per-request latency, from line parse
 /// to response write.
 pub const SERVE_REQUEST_NS: &str = "serve.request_ns";

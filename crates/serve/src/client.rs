@@ -1,7 +1,7 @@
 //! A small blocking client for the campaign service.
 //!
-//! Used by the `xbar bench serve` driver, the CI smoke test, and the
-//! integration tests; real attack tooling can speak the NDJSON protocol
+//! Used by `xbar serve drive`/`stats`, the benchmark in `perfbench/`,
+//! and the integration tests; real attack tooling can speak the NDJSON protocol
 //! directly (see [`crate::protocol`]).
 
 use std::io::{BufRead, BufReader, Write};

@@ -6,9 +6,9 @@
 //! decides *who records where* so the hot path never takes a shared
 //! lock:
 //!
-//! * shard 0 — gauges (single-writer by convention) and the session
+//! * shard 0 — gauges (single-writer by convention), the session
 //!   manager's journal-write timings (already serialised by the session
-//!   lock);
+//!   lock) and the accept loop's error counter;
 //! * shards `1 ..= workers` — one per evaluation worker (queue wait,
 //!   flush reasons, batch occupancy);
 //! * the remaining [`HANDLER_SHARDS`] — connection handlers, assigned

@@ -1,10 +1,11 @@
 //! The TCP server: accept loop, per-connection handlers, admission
 //! control, and graceful drain.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -101,7 +102,23 @@ pub struct Server {
     accept_handle: Option<JoinHandle<()>>,
     metrics_handle: Option<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// A clone of each live connection's stream, keyed by accept
+    /// ordinal, so drain can unblock handler reads.
+    conns: Arc<Mutex<LiveConns>>,
+}
+
+type LiveConns = HashMap<usize, TcpStream>;
+
+/// Removes a connection's drain clone from the live table when its
+/// handler exits, whether it returns or panics.
+struct LiveConn(Arc<Mutex<LiveConns>>, usize);
+
+impl Drop for LiveConn {
+    fn drop(&mut self) {
+        if let Ok(mut conns) = self.0.lock() {
+            conns.remove(&self.1);
+        }
+    }
 }
 
 impl Server {
@@ -132,7 +149,7 @@ impl Server {
             Some(&metrics),
         );
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<LiveConns>> = Arc::default();
 
         let accept_handle = {
             let shared = Arc::clone(&shared);
@@ -198,7 +215,7 @@ impl Server {
         // 2. Unblock handler reads; handlers finish their current
         //    request (workers are still alive to answer it), detach
         //    their sessions, drop their coalescer clones, and exit.
-        for stream in self.conns.lock().expect("conns lock").drain(..) {
+        for (_, stream) in self.conns.lock().expect("conns lock").drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let handles: Vec<_> = self
@@ -256,44 +273,67 @@ fn snapshot_loop(
     }
 }
 
+/// Longest pause between retries after a failed `accept`.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     coalescer: &Coalescer,
     handlers: &Mutex<Vec<JoinHandle<()>>>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
+    conns: &Arc<Mutex<LiveConns>>,
     collector: Option<Arc<dyn xbar_obs::Collector>>,
 ) {
-    // Connection ordinal, used only to spread handlers over the
-    // metrics shard pool.
-    let ordinal = AtomicUsize::new(0);
+    // Connection ordinal: keys the drain clone and spreads handlers
+    // over the metrics shard pool.
+    let mut next_ordinal = 0usize;
+    let mut backoff = Duration::ZERO;
+    let mut reported: Vec<ErrorKind> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if let Ok(clone) = stream.try_clone() {
-                    conns.lock().expect("conns lock").push(clone);
-                }
+                backoff = Duration::ZERO;
+                let ordinal = next_ordinal;
+                next_ordinal += 1;
+                let live = stream.try_clone().ok().map(|clone| {
+                    conns.lock().expect("conns lock").insert(ordinal, clone);
+                    LiveConn(Arc::clone(conns), ordinal)
+                });
                 let shared = Arc::clone(shared);
                 let coalescer = coalescer.clone();
                 let collector = collector.clone();
-                let shard = shared
-                    .metrics
-                    .handler_shard(ordinal.fetch_add(1, Ordering::Relaxed));
-                let handle = std::thread::spawn(move || match collector {
-                    Some(collector) => xbar_obs::with_scope(collector, None, || {
-                        handle_connection(stream, &shared, &coalescer, &shard)
-                    }),
-                    None => handle_connection(stream, &shared, &coalescer, &shard),
+                let shard = shared.metrics.handler_shard(ordinal);
+                let handle = std::thread::spawn(move || {
+                    let _live = live;
+                    match collector {
+                        Some(collector) => xbar_obs::with_scope(collector, None, || {
+                            handle_connection(stream, &shared, &coalescer, &shard)
+                        }),
+                        None => handle_connection(stream, &shared, &coalescer, &shard),
+                    }
                 });
-                handlers.lock().expect("handlers lock").push(handle);
+                let mut handlers = handlers.lock().expect("handlers lock");
+                handlers.retain(|handle| !handle.is_finished());
+                handlers.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(_) => return,
+            Err(e) => {
+                // Typically fd exhaustion (EMFILE) or a peer that reset
+                // before accept: count, back off and retry.
+                let server_shard = shared.metrics.server_shard();
+                server_shard.counter_add(SERVER_SCOPE, names::SERVE_ACCEPT_ERRORS, 1);
+                if !reported.contains(&e.kind()) {
+                    reported.push(e.kind());
+                    eprintln!("xbar-serve: accept failed, retrying with backoff: {e}");
+                }
+                backoff = (backoff * 2).clamp(Duration::from_millis(5), ACCEPT_BACKOFF_MAX);
+                std::thread::sleep(backoff);
+            }
         }
     }
 }
