@@ -92,7 +92,7 @@ COMMANDS:
   serve     multi-tenant attack-campaign service (NDJSON over TCP)
             host --model FILE [--name NAME] [--addr HOST:PORT]
                  [--workers N] [--max-sessions N] [--max-inflight N]
-                 [--no-coalesce] [--journal FILE] [--seed S]
+                 [--journal FILE] [--seed S]
                  [--backend naive|blocked|parallel[:N]]
                  [--access none|label|raw] [--power-noise X]
                  [--read-sigma X] [--metrics FILE] [--metrics-every MS]
@@ -315,7 +315,6 @@ fn cmd_serve_host(args: &ParsedArgs) -> Result<(), CliError> {
     use xbar_crossbar::backend::BackendKind;
     use xbar_crossbar::device::DeviceModel;
     use xbar_crossbar::power::PowerModel;
-    use xbar_serve::coalesce::CoalescePolicy;
     use xbar_serve::{ServeConfig, Server, VictimRegistry};
 
     // Validate every option before touching the filesystem or network.
@@ -350,17 +349,12 @@ fn cmd_serve_host(args: &ParsedArgs) -> Result<(), CliError> {
         workers: args.get_or("workers", 4usize)?.max(1),
         max_sessions: args.get_or("max-sessions", 256usize)?,
         max_inflight: args.get_or("max-inflight", 4096usize)?,
-        coalesce: CoalescePolicy {
-            enabled: !args.flag("no-coalesce"),
-            ..CoalescePolicy::default()
-        },
         journal: args
             .get("journal")
             .filter(|j| !j.is_empty())
             .map(std::path::PathBuf::from),
         metrics,
         metrics_every,
-        ..ServeConfig::default()
     };
     let server = Server::start(
         args.get("addr").unwrap_or("127.0.0.1:7878"),

@@ -127,29 +127,6 @@ pub const SPAN_INFER_CHAINS: &str = "infer.chains";
 /// sample chains, summarise, attack, evaluate).
 pub const SPAN_INFER_TRIAL: &str = "infer.sweep_trial";
 
-/// One attack session admitted by the campaign service (`xbar serve`),
-/// counting resumes as well as fresh sessions.
-pub const SERVE_SESSIONS: &str = "serve.sessions";
-
-/// A session turned away by admission control (session table full).
-pub const SERVE_ADMISSION_REJECT: &str = "serve.admission_reject";
-
-/// One coalesced evaluation batch flushed by the campaign service —
-/// however many sessions' queries it carried.
-pub const SERVE_COALESCED_BATCH: &str = "serve.coalesced_batch";
-
-/// Observation (value series): number of queries in each coalesced
-/// batch the campaign service flushed.
-pub const SERVE_BATCH_OCCUPANCY: &str = "serve.batch_occupancy";
-
-/// Observation (value series): evaluation-queue depth sampled each time
-/// the campaign service enqueues a job.
-pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-
-/// Span: one client request handled by the campaign service, from parse
-/// to response write.
-pub const SPAN_SERVE_REQUEST: &str = "serve.request";
-
 // --- Live metrics plane (crate::metrics, scraped via the `stats` op) ---
 //
 // These name the campaign service's *live* metrics, keyed by victim in
@@ -188,9 +165,13 @@ pub const SERVE_FLUSH_OCCUPANCY: &str = "serve.flush_occupancy";
 /// Live counter: batches flushed because they reached the size cap.
 pub const SERVE_FLUSH_SIZE: &str = "serve.flush_size";
 
-/// Live counter: batches flushed before filling — deadline expiry,
-/// queue drain, or coalescing disabled.
+/// Live counter: batches flushed before the size cap because the queue
+/// ran dry.
 pub const SERVE_FLUSH_DEADLINE: &str = "serve.flush_deadline";
+
+/// Live counter: periodic metrics snapshots that failed to write (the
+/// snapshot loop keeps running and prints the first failure).
+pub const SERVE_METRICS_WRITE_ERRORS: &str = "serve.metrics_write_errors";
 
 /// Live histogram (ns): latency of each durable session-journal write.
 pub const SERVE_JOURNAL_WRITE_NS: &str = "serve.journal_write_ns";

@@ -1,14 +1,16 @@
 //! The cross-session batch coalescer.
 //!
 //! Sessions enqueue evaluation jobs; a pool of worker threads drains
-//! the queue, and — with coalescing enabled — each worker fills one
-//! backend batch from *unrelated* sessions' pending jobs before
-//! evaluating, flushing on size (`max_batch` samples) or deadline
-//! (`flush_after`). Jobs for different victims never share a batch;
-//! jobs for the same victim do, which is where the throughput comes
-//! from: the `Blocked` backend materialises the victim's effective
-//! weights and line conductances once per batch, so a batch carrying
-//! 64 sessions' queries costs barely more than one session's.
+//! the queue. A worker blocks for one job, then takes whatever other
+//! sessions' jobs are *already* queued — up to `MAX_BATCH` (256)
+//! samples — and evaluates them together. It never waits for more
+//! work: a lone job is evaluated at once, and batches form under load
+//! because jobs pile up while the workers are busy evaluating. Jobs for
+//! different victims never share a batch; jobs for the same victim do,
+//! which is where the throughput comes from: the `Blocked` backend
+//! materialises the victim's effective weights and line conductances
+//! once per batch, so a batch carrying 64 sessions' queries costs
+//! barely more than one session's.
 //!
 //! Correctness does not depend on what lands in a batch: every sample
 //! carries its own [`QueryKey`] and
@@ -23,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use xbar_core::oracle::{Observation, Oracle, QueryKey};
 use xbar_obs::names;
@@ -53,27 +55,8 @@ struct QueuedJob {
     enqueued: Instant,
 }
 
-/// Coalescing policy for a worker pool.
-#[derive(Debug, Clone, Copy)]
-pub struct CoalescePolicy {
-    /// Whether to coalesce at all; `false` evaluates each job alone
-    /// (the bench baseline).
-    pub enabled: bool,
-    /// Flush once a batch holds this many samples.
-    pub max_batch: usize,
-    /// Flush once the oldest job in the batch has waited this long.
-    pub flush_after: Duration,
-}
-
-impl Default for CoalescePolicy {
-    fn default() -> Self {
-        CoalescePolicy {
-            enabled: true,
-            max_batch: 256,
-            flush_after: Duration::from_millis(2),
-        }
-    }
-}
+/// Most samples a worker takes off the queue for one flush.
+const MAX_BATCH: usize = 256;
 
 /// Handle for enqueuing jobs onto the worker pool. Clone one per
 /// connection; drop every clone (and the pool's own) to initiate drain.
@@ -100,7 +83,6 @@ impl Coalescer {
             self.inflight.fetch_sub(samples, Ordering::SeqCst);
             return Err(job);
         }
-        xbar_obs::observe(names::SERVE_QUEUE_DEPTH, (occupied + samples) as f64);
         let queued = QueuedJob {
             job,
             enqueued: Instant::now(),
@@ -129,18 +111,11 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` evaluation threads applying `policy`.
-    /// `max_inflight` caps queued samples across the pool
-    /// (backpressure); `collector` observes the pool's trial plane and
-    /// `metrics` its live plane (each worker records into its own
-    /// shard) when given.
-    pub fn start(
-        workers: usize,
-        policy: CoalescePolicy,
-        max_inflight: usize,
-        collector: Option<Arc<dyn xbar_obs::Collector>>,
-        metrics: Option<&ServeMetrics>,
-    ) -> Self {
+    /// Spawns `workers` evaluation threads. `max_inflight` caps queued
+    /// samples across the pool (backpressure); `metrics`, when given,
+    /// receives the pool's live metrics (each worker records into its
+    /// own shard).
+    pub fn start(workers: usize, max_inflight: usize, metrics: Option<&ServeMetrics>) -> Self {
         let (tx, rx) = mpsc::channel::<QueuedJob>();
         let rx = Arc::new(Mutex::new(rx));
         let inflight = Arc::new(AtomicUsize::new(0));
@@ -148,14 +123,8 @@ impl WorkerPool {
             .map(|index| {
                 let rx = Arc::clone(&rx);
                 let inflight = Arc::clone(&inflight);
-                let collector = collector.clone();
                 let shard = metrics.map(|m| m.worker_shard(index));
-                std::thread::spawn(move || match collector {
-                    Some(collector) => xbar_obs::with_scope(collector, None, || {
-                        worker_loop(&rx, &inflight, policy, shard.as_deref())
-                    }),
-                    None => worker_loop(&rx, &inflight, policy, shard.as_deref()),
-                })
+                std::thread::spawn(move || worker_loop(&rx, &inflight, shard.as_deref()))
             })
             .collect();
         WorkerPool {
@@ -179,7 +148,7 @@ impl WorkerPool {
     pub fn shutdown(mut self) {
         self.coalescer.take();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            crate::join_reporting(handle, "evaluation worker");
         }
     }
 }
@@ -187,50 +156,32 @@ impl WorkerPool {
 fn worker_loop(
     rx: &Mutex<mpsc::Receiver<QueuedJob>>,
     inflight: &AtomicUsize,
-    policy: CoalescePolicy,
     shard: Option<&MetricsShard>,
 ) {
     loop {
         // One worker at a time owns the receiver, from blocking recv
-        // through batch accumulation; it releases before evaluating, so
-        // dequeueing serialises (which is what fills batches) while
-        // evaluation parallelises. The lock holder is always
-        // progressing toward release — blocked recv ends when a job
-        // arrives, accumulation ends on size or deadline — so waiters
-        // starve for at most one flush window.
+        // through draining what is already queued; it releases before
+        // evaluating, so dequeueing serialises while evaluation
+        // parallelises. The lock holder never waits for work beyond the
+        // first job — it stops at an empty queue or at MAX_BATCH
+        // samples — so waiters queue behind one drain at most.
         let (queued, samples) = {
             let queue = rx.lock().expect("queue lock");
-            let first = match queue.recv() {
-                Ok(job) => job,
-                // Every sender gone: drained, exit.
-                Err(mpsc::RecvError) => return,
-            };
+            // Every sender gone: drained, exit.
+            let Ok(first) = queue.recv() else { return };
+            let mut samples = first.job.inputs.len();
             let mut queued = vec![first];
-            let mut samples = queued[0].job.inputs.len();
-            if policy.enabled {
-                let deadline = Instant::now() + policy.flush_after;
-                while samples < policy.max_batch {
-                    match queue.try_recv() {
-                        Ok(job) => {
-                            samples += job.job.inputs.len();
-                            queued.push(job);
-                        }
-                        Err(mpsc::TryRecvError::Empty) => {
-                            if Instant::now() >= deadline {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_micros(100));
-                        }
-                        Err(mpsc::TryRecvError::Disconnected) => break,
-                    }
-                }
+            while samples < MAX_BATCH {
+                let Ok(job) = queue.try_recv() else { break };
+                samples += job.job.inputs.len();
+                queued.push(job);
             }
             (queued, samples)
         };
         if let Some(shard) = shard {
-            // Flush reason: did the batch fill, or did it go out early
-            // (deadline expiry, queue drain, coalescing disabled)?
-            let reason = if samples >= policy.max_batch {
+            // Flush reason: did the batch fill, or did the queue run dry
+            // before the cap?
+            let reason = if samples >= MAX_BATCH {
                 names::SERVE_FLUSH_SIZE
             } else {
                 names::SERVE_FLUSH_DEADLINE
@@ -271,8 +222,6 @@ fn evaluate(jobs: &[Job], shard: Option<&MetricsShard>) {
             inputs.extend(jobs[i].inputs.iter().map(Vec::as_slice));
             keys.extend_from_slice(&jobs[i].keys);
         }
-        xbar_obs::count(names::SERVE_COALESCED_BATCH, 1);
-        xbar_obs::observe(names::SERVE_BATCH_OCCUPANCY, inputs.len() as f64);
         if let Some(shard) = shard {
             // The occupancy histogram's *sum* is the total samples
             // evaluated for this victim (deterministic); its count and
@@ -343,7 +292,7 @@ mod tests {
     #[test]
     fn coalesced_results_match_direct_keyed_evaluation() {
         let oracle = victim();
-        let pool = WorkerPool::start(2, CoalescePolicy::default(), 1024, None, None);
+        let pool = WorkerPool::start(2, 1024, None);
         let coalescer = pool.coalescer();
         let inputs_a = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
         let inputs_b = vec![vec![-0.1, 0.7, 0.0]];
@@ -372,7 +321,7 @@ mod tests {
     fn backpressure_rejects_without_losing_jobs() {
         let oracle = victim();
         // One worker, tiny in-flight cap.
-        let pool = WorkerPool::start(1, CoalescePolicy::default(), 2, None, None);
+        let pool = WorkerPool::start(1, 2, None);
         let coalescer = pool.coalescer();
         let (job_big, _rx) = job(&oracle, 1, 0, vec![vec![0.0; 3]; 3]);
         // 3 samples > cap of 2: rejected, job returned intact.
@@ -389,7 +338,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_jobs() {
         let oracle = victim();
-        let pool = WorkerPool::start(1, CoalescePolicy::default(), 4096, None, None);
+        let pool = WorkerPool::start(1, 4096, None);
         let coalescer = pool.coalescer();
         let receivers: Vec<_> = (0..32)
             .map(|i| {

@@ -28,8 +28,8 @@
 //!   (`xbar-runtime`'s appender), so a reconnecting client resumes
 //!   exactly where it died.
 //! * [`coalesce`] — the cross-session batch coalescer: a worker pool
-//!   that fills one backend batch from unrelated sessions' pending
-//!   queries, flushing on size or deadline.
+//!   that fills one backend batch from whatever unrelated sessions'
+//!   queries are already queued, then evaluates without waiting.
 //! * [`server`] — [`Server`]: the TCP accept loop, admission control,
 //!   backpressure, and graceful drain.
 //! * [`metrics`] — the live telemetry plane's shard layout
@@ -99,3 +99,17 @@ impl From<serde_json::Error> for ServeError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;
+
+/// Joins a service thread, printing its panic payload to stderr with
+/// the thread's `role`, so a dead worker or handler never vanishes
+/// silently.
+pub(crate) fn join_reporting(handle: std::thread::JoinHandle<()>, role: &str) {
+    if let Err(payload) = handle.join() {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        eprintln!("xbar-serve: {role} thread panicked: {message}");
+    }
+}

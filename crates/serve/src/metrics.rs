@@ -8,7 +8,7 @@
 //!
 //! * shard 0 — gauges (single-writer by convention), the session
 //!   manager's journal-write timings (already serialised by the session
-//!   lock) and the accept loop's error counter;
+//!   lock) and the accept and snapshot loops' error counters;
 //! * shards `1 ..= workers` — one per evaluation worker (queue wait,
 //!   flush reasons, batch occupancy);
 //! * the remaining [`HANDLER_SHARDS`] — connection handlers, assigned

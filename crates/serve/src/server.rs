@@ -16,7 +16,7 @@ use xbar_obs::metrics::SERVER_SCOPE;
 use xbar_obs::names;
 use xbar_runtime::jsonl::JsonlAppender;
 
-use crate::coalesce::{CoalescePolicy, Coalescer, Job, WorkerPool};
+use crate::coalesce::{Coalescer, Job, WorkerPool};
 use crate::metrics::{json_to_value, ServeMetrics, METRICS_RECORD_KIND};
 use crate::protocol::{codes, Request, Response};
 use crate::registry::VictimRegistry;
@@ -32,12 +32,8 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Backpressure: maximum queued-but-unevaluated query samples.
     pub max_inflight: usize,
-    /// Cross-session batch coalescing policy.
-    pub coalesce: CoalescePolicy,
     /// Session journal path (`None` = in-memory sessions only).
     pub journal: Option<PathBuf>,
-    /// Observability sink for the server's threads (`None` = unobserved).
-    pub collector: Option<Arc<dyn xbar_obs::Collector>>,
     /// Periodic live-metrics snapshot file (`None` = no snapshots). A
     /// [`METRICS_RECORD_KIND`] JSONL record is appended every
     /// [`ServeConfig::metrics_every`], plus a final one on drain.
@@ -52,9 +48,7 @@ impl Default for ServeConfig {
             workers: 4,
             max_sessions: 256,
             max_inflight: 4096,
-            coalesce: CoalescePolicy::default(),
             journal: None,
-            collector: None,
             metrics: None,
             metrics_every: Duration::from_secs(1),
         }
@@ -141,13 +135,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
         });
-        let pool = WorkerPool::start(
-            config.workers,
-            config.coalesce,
-            config.max_inflight,
-            config.collector.clone(),
-            Some(&metrics),
-        );
+        let pool = WorkerPool::start(config.workers, config.max_inflight, Some(&metrics));
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let conns: Arc<Mutex<LiveConns>> = Arc::default();
 
@@ -156,9 +144,8 @@ impl Server {
             let handlers = Arc::clone(&handlers);
             let conns = Arc::clone(&conns);
             let coalescer = pool.coalescer();
-            let collector = config.collector.clone();
             std::thread::spawn(move || {
-                accept_loop(&listener, &shared, &coalescer, &handlers, &conns, collector)
+                accept_loop(&listener, &shared, &coalescer, &handlers, &conns)
             })
         };
 
@@ -210,7 +197,7 @@ impl Server {
     fn drain(mut self) {
         // 1. The accept loop polls the flag and exits.
         if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+            crate::join_reporting(handle, "accept loop");
         }
         // 2. Unblock handler reads; handlers finish their current
         //    request (workers are still alive to answer it), detach
@@ -225,12 +212,12 @@ impl Server {
             .drain(..)
             .collect();
         for handle in handles {
-            let _ = handle.join();
+            crate::join_reporting(handle, "connection handler");
         }
         // 3. The snapshot thread sees the shutdown flag, writes its
         //    final snapshot, and drops its coalescer clone.
         if let Some(handle) = self.metrics_handle.take() {
-            let _ = handle.join();
+            crate::join_reporting(handle, "metrics snapshot");
         }
         // 4. Every sender is gone: the workers drain the queue and exit.
         if let Some(pool) = self.pool.take() {
@@ -242,7 +229,9 @@ impl Server {
 /// Appends one [`METRICS_RECORD_KIND`] snapshot record to the metrics
 /// file every `every`, polling the shutdown flag between ticks, and a
 /// final record once drain begins. Records carry a monotone `seq` so
-/// consumers can assert snapshot counts only ever grow.
+/// consumers can assert snapshot counts only ever grow. A failed write
+/// is counted as `serve.metrics_write_errors`; the first is also
+/// printed to stderr.
 fn snapshot_loop(
     mut appender: JsonlAppender,
     shared: &Shared,
@@ -250,14 +239,22 @@ fn snapshot_loop(
     every: Duration,
 ) {
     let mut seq = 0u64;
-    let write_snapshot = |seq: u64, appender: &mut JsonlAppender| {
+    let mut failed = false;
+    let mut write_snapshot = |seq: u64, appender: &mut JsonlAppender| {
         let snapshot = shared.scrape(coalescer);
         let mut record = JsonValue::object();
         record
             .push("kind", METRICS_RECORD_KIND)
             .push("seq", seq)
             .push("stats", snapshot.to_json());
-        let _ = appender.write_line(&record.render());
+        if let Err(e) = appender.write_line(&record.render()) {
+            let server_shard = shared.metrics.server_shard();
+            server_shard.counter_add(SERVER_SCOPE, names::SERVE_METRICS_WRITE_ERRORS, 1);
+            if !failed {
+                failed = true;
+                eprintln!("xbar-serve: metrics snapshot write failed: {e}");
+            }
+        }
     };
     loop {
         let deadline = Instant::now() + every;
@@ -282,13 +279,19 @@ fn accept_loop(
     coalescer: &Coalescer,
     handlers: &Mutex<Vec<JoinHandle<()>>>,
     conns: &Arc<Mutex<LiveConns>>,
-    collector: Option<Arc<dyn xbar_obs::Collector>>,
 ) {
     // Connection ordinal: keys the drain clone and spreads handlers
     // over the metrics shard pool.
     let mut next_ordinal = 0usize;
     let mut backoff = Duration::ZERO;
-    let mut reported: Vec<ErrorKind> = Vec::new();
+    // (failure, error kind) pairs already printed to stderr.
+    let mut reported: Vec<(&str, ErrorKind)> = Vec::new();
+    let mut report_once = |what: &'static str, e: &std::io::Error| {
+        if !reported.contains(&(what, e.kind())) {
+            reported.push((what, e.kind()));
+            eprintln!("xbar-serve: {what}: {e}");
+        }
+    };
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -296,6 +299,12 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 backoff = Duration::ZERO;
+                // Each reply is its own small write; without this, a
+                // pipelined reply queued behind an unacknowledged one
+                // waits out the client's delayed ACK.
+                if let Err(e) = stream.set_nodelay(true) {
+                    report_once("set_nodelay failed on an accepted connection", &e);
+                }
                 let ordinal = next_ordinal;
                 next_ordinal += 1;
                 let live = stream.try_clone().ok().map(|clone| {
@@ -304,16 +313,10 @@ fn accept_loop(
                 });
                 let shared = Arc::clone(shared);
                 let coalescer = coalescer.clone();
-                let collector = collector.clone();
                 let shard = shared.metrics.handler_shard(ordinal);
                 let handle = std::thread::spawn(move || {
                     let _live = live;
-                    match collector {
-                        Some(collector) => xbar_obs::with_scope(collector, None, || {
-                            handle_connection(stream, &shared, &coalescer, &shard)
-                        }),
-                        None => handle_connection(stream, &shared, &coalescer, &shard),
-                    }
+                    handle_connection(stream, &shared, &coalescer, &shard)
                 });
                 let mut handlers = handlers.lock().expect("handlers lock");
                 handlers.retain(|handle| !handle.is_finished());
@@ -327,10 +330,7 @@ fn accept_loop(
                 // before accept: count, back off and retry.
                 let server_shard = shared.metrics.server_shard();
                 server_shard.counter_add(SERVER_SCOPE, names::SERVE_ACCEPT_ERRORS, 1);
-                if !reported.contains(&e.kind()) {
-                    reported.push(e.kind());
-                    eprintln!("xbar-serve: accept failed, retrying with backoff: {e}");
-                }
+                report_once("accept failed, retrying with backoff", &e);
                 backoff = (backoff * 2).clamp(Duration::from_millis(5), ACCEPT_BACKOFF_MAX);
                 std::thread::sleep(backoff);
             }
@@ -361,12 +361,9 @@ fn handle_connection(
             continue;
         }
         let started = Instant::now();
-        let response = {
-            let _span = xbar_obs::span(names::SPAN_SERVE_REQUEST);
-            match serde_json::from_str::<Request>(&line) {
-                Ok(request) => handle_request(&request, shared, coalescer, &mut attached),
-                Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
-            }
+        let response = match serde_json::from_str::<Request>(&line) {
+            Ok(request) => handle_request(&request, shared, coalescer, &mut attached),
+            Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
         };
         record_request_metrics(shard, &response, started);
         let Ok(mut line) = serde_json::to_string(&response) else {
@@ -457,12 +454,7 @@ fn handle_request(
                     }
                     Response::success(op).with_status(status)
                 }
-                Err(reject) => {
-                    if reject.code == codes::SESSION_TABLE_FULL {
-                        xbar_obs::count(names::SERVE_ADMISSION_REJECT, 1);
-                    }
-                    Response::failure(op, reject.code, reject.message)
-                }
+                Err(reject) => Response::failure(op, reject.code, reject.message),
             }
         }
         "query" => handle_query(request, shared, coalescer),

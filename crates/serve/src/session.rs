@@ -226,7 +226,6 @@ impl SessionManager {
         self.persist(id, &state)?;
         let status = state.status(id);
         self.attached.insert(id.to_string(), state);
-        xbar_obs::count(xbar_obs::names::SERVE_SESSIONS, 1);
         Ok(status)
     }
 

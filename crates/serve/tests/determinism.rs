@@ -12,7 +12,6 @@ use xbar_faults::{FaultKey, TransientInjection, TransientSpec};
 use xbar_linalg::Matrix;
 use xbar_nn::activation::Activation;
 use xbar_nn::network::SingleLayerNet;
-use xbar_serve::coalesce::CoalescePolicy;
 use xbar_serve::{Client, ServeConfig, Server, VictimRegistry};
 
 const SESSIONS: usize = 8;
@@ -74,15 +73,11 @@ fn direct_records(deployed: &Oracle, s: usize) -> Vec<QueryRecord> {
     view.query_batch(&refs).unwrap()
 }
 
-fn server(workers: usize, coalesce: bool) -> Server {
+fn server(workers: usize) -> Server {
     let mut registry = VictimRegistry::new();
     registry.insert("victim", victim()).unwrap();
     let config = ServeConfig {
         workers,
-        coalesce: CoalescePolicy {
-            enabled: coalesce,
-            ..CoalescePolicy::default()
-        },
         ..ServeConfig::default()
     };
     Server::start("127.0.0.1:0", registry, config).unwrap()
@@ -115,7 +110,7 @@ fn drive_session(addr: std::net::SocketAddr, s: usize) -> Vec<QueryRecord> {
 #[test]
 fn solo_session_matches_direct_evaluation_bit_for_bit() {
     let deployed = victim();
-    let server = server(2, true);
+    let server = server(2);
     let addr = server.local_addr();
     for s in [0, 3] {
         let served = drive_session(addr, s);
@@ -132,7 +127,7 @@ fn interleaved_sessions_match_solo_at_any_worker_count() {
         .collect();
 
     for workers in [1usize, 4, 8] {
-        let server = server(workers, true);
+        let server = server(workers);
         let addr = server.local_addr();
         let served: Vec<Vec<QueryRecord>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..SESSIONS)
@@ -151,31 +146,11 @@ fn interleaved_sessions_match_solo_at_any_worker_count() {
 }
 
 #[test]
-fn coalescing_off_is_bit_identical_too() {
-    let deployed = victim();
-    let baselines: Vec<Vec<QueryRecord>> = (0..SESSIONS)
-        .map(|s| direct_records(&deployed, s))
-        .collect();
-    let server = server(4, false);
-    let addr = server.local_addr();
-    let served: Vec<Vec<QueryRecord>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..SESSIONS)
-            .map(|s| scope.spawn(move || drive_session(addr, s)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (s, (got, want)) in served.iter().zip(&baselines).enumerate() {
-        assert_eq!(got, want, "session {s} diverged with coalescing off");
-    }
-    server.shutdown();
-}
-
-#[test]
 fn shared_hardware_is_actually_shared() {
     // Two sessions with the same seed see the same noise; two sessions
     // with different seeds see different noise on the same hardware —
     // the keying, not the victim, is what separates tenants.
-    let server = server(2, true);
+    let server = server(2);
     let addr = server.local_addr();
     let inputs = session_inputs(0);
 

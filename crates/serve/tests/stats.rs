@@ -8,13 +8,14 @@
 //!    visibility exactly when they need it most.
 //! 2. **Worker-count invariance** — a fixed scripted workload produces
 //!    snapshots whose *deterministic* fields (request / query /
-//!    rejection counters, histogram totals, and — with coalescing off —
-//!    occupancy bucket counts) are identical at 1, 4, and 8 workers,
-//!    because shard merging is commutative. Timing fields are only
-//!    checked for well-formedness.
+//!    rejection counters, histogram totals, and — because the scripted
+//!    client is closed-loop, so each flush carries one job — occupancy
+//!    bucket counts) are identical at 1, 4, and 8 workers, because
+//!    shard merging is commutative. Timing fields are only checked for
+//!    well-formedness.
 //! 3. **Snapshot shape** — quantiles sit inside `[min, max]`, bucket
-//!    totals equal histogram counts, and coalescing-enabled runs
-//!    conserve `serve.flush_occupancy`'s sum (= total queries).
+//!    totals equal histogram counts, and every run conserves
+//!    `serve.flush_occupancy`'s sum (= total queries).
 
 use std::collections::BTreeMap;
 
@@ -24,7 +25,6 @@ use xbar_crossbar::power::PowerModel;
 use xbar_linalg::Matrix;
 use xbar_nn::activation::Activation;
 use xbar_nn::network::SingleLayerNet;
-use xbar_serve::coalesce::CoalescePolicy;
 use xbar_serve::{Client, Request, ServeConfig, Server, VictimRegistry};
 
 const INPUT_DIM: usize = 3;
@@ -140,7 +140,7 @@ fn assert_well_formed_histogram(h: &serde::Value) {
 /// The deterministic projection of a snapshot: every counter, every
 /// histogram's total count, and `serve.flush_occupancy`'s exact bucket
 /// counts (its recorded values are batch sizes — integers fixed by the
-/// workload when coalescing is off).
+/// workload when each flush carries one job).
 fn deterministic_projection(stats: &serde::Value) -> BTreeMap<String, u64> {
     let mut projection = BTreeMap::new();
     let victims = stats
@@ -180,17 +180,14 @@ fn deterministic_projection(stats: &serde::Value) -> BTreeMap<String, u64> {
 
 /// Runs the fixed scripted workload against a fresh server with
 /// `workers` evaluation threads and returns the final stats snapshot.
+/// The client is closed-loop — one request in flight at a time — so the
+/// queue never holds two jobs, every job is flushed alone, and batch
+/// occupancy is a pure function of the scripted batch sizes.
 fn scripted_run(workers: usize) -> serde::Value {
     let config = ServeConfig {
         workers,
         max_sessions: 8,
         max_inflight: 4096,
-        // Coalescing off: every job evaluates alone, so batch occupancy
-        // is a pure function of the scripted batch sizes.
-        coalesce: CoalescePolicy {
-            enabled: false,
-            ..CoalescePolicy::default()
-        },
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", registry(), config).unwrap();
@@ -242,8 +239,9 @@ fn deterministic_fields_are_worker_count_invariant() {
         counter(&baseline, "_server", "serve.reject.unknown_session"),
         1
     );
-    // One flush per successful query request (coalescing off), all
-    // under the size cap, so every flush counts as "deadline".
+    // One flush per successful query request (closed-loop client), all
+    // under the size cap, so every flush counts as "deadline" (the
+    // queue ran dry).
     assert_eq!(counter(&baseline, "_server", "serve.flush_deadline"), 7);
     assert_eq!(counter(&baseline, "_server", "serve.flush_size"), 0);
     let occupancy = histogram(&baseline, "toy", "serve.flush_occupancy");
@@ -374,6 +372,58 @@ fn coalesced_occupancy_sum_conserves_total_queries() {
     assert_eq!(field_u64(occupancy, "sum"), total);
     assert_eq!(counter(&stats, "toy", "serve.queries"), total);
     assert_well_formed_histogram(occupancy);
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn lone_jobs_are_flushed_without_waiting() {
+    let server = Server::start("127.0.0.1:0", registry(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.hello("s1", Some("toy"), Some(11), None).unwrap();
+    // Closed loop: each job is alone in the queue, so nothing is gained
+    // by holding it back for company.
+    for round in 0..20 {
+        client.query("s1", &inputs(1, 80 + round)).unwrap();
+    }
+    let stats = client.stats().unwrap();
+    let wait = histogram(&stats, "toy", "serve.queue_wait_ns");
+    assert_eq!(field_u64(wait, "count"), 20);
+    let min = field_u64(wait, "min");
+    assert!(
+        min < 1_000_000,
+        "fastest lone job waited {min} ns in the queue"
+    );
+
+    drop(client);
+    server.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn metrics_write_errors_are_counted() {
+    // Every write to /dev/full fails with ENOSPC.
+    let config = ServeConfig {
+        workers: 1,
+        metrics: Some("/dev/full".into()),
+        metrics_every: std::time::Duration::from_millis(10),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", registry(), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // About ten snapshot ticks should have failed after 100 ms; poll a
+    // little longer so a slow host does not flake.
+    let mut errors = 0;
+    for _ in 0..40 {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let stats = client.stats().unwrap();
+        errors = counter(&stats, "_server", "serve.metrics_write_errors");
+        if errors >= 1 {
+            break;
+        }
+    }
+    assert!(errors >= 1, "no metrics write error counted");
 
     drop(client);
     server.shutdown();
