@@ -14,8 +14,7 @@
 //! Oracles use the linear head + MSE training (the paper uses linear
 //! surrogates/oracles throughout Sec. IV).
 //!
-//! Runs as an `xbar-runtime` campaign (one trial per independent run,
-//! the granularity the binary previously parallelised with `rayon`);
+//! Runs as an `xbar-runtime` campaign (one trial per independent run);
 //! see `xbar_bench::figures::run_fig5`. For checkpointing and resume,
 //! use `xbar campaign --figure fig5`.
 //!

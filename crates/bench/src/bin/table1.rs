@@ -12,10 +12,10 @@
 //!
 //! Usage: `cargo run -p xbar-bench --release --bin table1 [--quick] [--json results/table1.json]`
 
-use rayon::prelude::*;
 use serde::Serialize;
 use xbar_bench::{paper_configs, parse_args, train_victim, write_json, DatasetKind, HeadKind};
 use xbar_core::report::{fmt, format_table};
+use xbar_linalg::par::for_each_chunk;
 use xbar_nn::sensitivity::{abs_input_gradients, mean_abs_sensitivity};
 use xbar_stats::aggregate::RunSummary;
 use xbar_stats::correlation::{pearson, pearson_lenient};
@@ -64,7 +64,7 @@ fn run_once(
 
 fn main() {
     let (json_path, quick) = parse_args();
-    let runs: u64 = if quick { 2 } else { 5 };
+    let runs: usize = if quick { 2 } else { 5 };
     let num_samples = if quick { 800 } else { 4000 };
 
     println!("Table I: correlation between |loss sensitivity| and weight-column 1-norms");
@@ -73,10 +73,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for (dataset, head) in paper_configs() {
-        let stats: Vec<(f64, f64, f64, f64)> = (0..runs)
-            .into_par_iter()
-            .map(|r| run_once(dataset, head, num_samples, 100 + r))
-            .collect();
+        let mut stats = vec![(0.0, 0.0, 0.0, 0.0); runs];
+        for_each_chunk(&mut stats, 0, |start, chunk| {
+            for (r, slot) in (start..).zip(chunk) {
+                *slot = run_once(dataset, head, num_samples, 100 + r as u64);
+            }
+        });
         let col = |f: fn(&(f64, f64, f64, f64)) -> f64| -> RunSummary {
             RunSummary::from_values(&stats.iter().map(f).collect::<Vec<f64>>())
         };

@@ -51,7 +51,15 @@ fn sorted_journal(path: &PathBuf) -> (String, Vec<String>) {
     (header, records)
 }
 
+/// ~13 s in release, over three minutes in debug — so debug builds skip
+/// it and CI runs it with `cargo test --release`. In debug the keying
+/// stays covered by `xbar-faults`' transient unit tests (key
+/// determinism, batch split) and `proptest_faults.rs`.
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "slow in debug builds; run with --release (CI does)"
+)]
 fn transient_campaign_journals_are_thread_and_backend_invariant() {
     let campaign = tiny_transient_campaign();
     let transients = TransientSpec::none()

@@ -28,11 +28,11 @@
 //!   [`xbar_linalg::vec_ops::dot`] — the identical floating-point
 //!   reduction the per-vector path performs — so outputs are
 //!   **bit-identical** to [`NaiveBackend`], not merely close.
-//! * [`ParallelBackend`] — the blocked kernel tiled over batch chunks
-//!   (or output-row blocks for small batches) across a scoped thread
-//!   pool. Threads only change *which* worker computes a cell, never
-//!   the reduction inside it, so outputs stay bit-identical to
-//!   [`NaiveBackend`] at any thread count.
+//! * [`ParallelBackend`] — the blocked kernel over contiguous batch
+//!   chunks, one per worker, through
+//!   [`xbar_linalg::par::for_each_chunk`]. Threads only change *which*
+//!   worker computes a cell, never the reduction inside it, so outputs
+//!   stay bit-identical to [`NaiveBackend`] at any thread count.
 //!
 //! Noisy variants take a per-sample RNG-stream factory (sample index →
 //! fresh [`ChaCha8Rng`]), so per-device noise draws depend only on the
@@ -53,6 +53,7 @@ use crate::power::PowerModel;
 use crate::{CrossbarError, Result};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use xbar_linalg::par;
 use xbar_linalg::vec_ops::dot;
 use xbar_linalg::Matrix;
 
@@ -546,35 +547,27 @@ fn noisy_power_per_sample(
         .collect()
 }
 
-/// The tiled noiseless MVM kernel over output rows `row0..row1`,
-/// writing sample `s`'s row `i` into `out[s][i - row0]`.
+/// The tiled noiseless MVM kernel, writing sample `s`'s output row `i`
+/// into `out[s][i]`.
 ///
 /// This is the one kernel [`BlockedBackend`] and every
 /// [`ParallelBackend`] worker run: each output cell is one full-length
 /// ascending-index [`dot`] — the identical reduction `checked_mvm`'s
 /// `matvec` performs — so tile boundaries and work partitioning never
 /// change a single bit of the result.
-fn mvm_tiles_into(
-    w_eff: &Matrix,
-    inputs: &[&[f64]],
-    row0: usize,
-    row1: usize,
-    config: BatchConfig,
-    out: &mut [Vec<f64>],
-) {
+fn mvm_tiles_into(w_eff: &Matrix, inputs: &[&[f64]], config: BatchConfig, out: &mut [Vec<f64>]) {
+    let m = w_eff.rows();
     let bo = config.block_outputs.max(1);
     let bs = config.block_samples.max(1);
     for s0 in (0..inputs.len()).step_by(bs) {
         let s1 = (s0 + bs).min(inputs.len());
-        let mut i0 = row0;
-        while i0 < row1 {
-            let i1 = (i0 + bo).min(row1);
+        for i0 in (0..m).step_by(bo) {
+            let i1 = (i0 + bo).min(m);
             for (sample_out, input) in out[s0..s1].iter_mut().zip(&inputs[s0..s1]) {
-                for (k, cell) in sample_out[i0 - row0..i1 - row0].iter_mut().enumerate() {
-                    *cell = dot(w_eff.row(i0 + k), input);
+                for (i, cell) in (i0..i1).zip(&mut sample_out[i0..i1]) {
+                    *cell = dot(w_eff.row(i), input);
                 }
             }
-            i0 = i1;
         }
     }
 }
@@ -695,7 +688,7 @@ impl EvalBackend for BlockedBackend {
         xbar_obs::count(xbar_obs::names::XBAR_ANALOG_MVM, inputs.len() as u64);
         let m = prepared.weights().rows();
         let mut out: Vec<Vec<f64>> = inputs.iter().map(|_| vec![0.0; m]).collect();
-        mvm_tiles_into(prepared.weights(), inputs, 0, m, self.config, &mut out);
+        mvm_tiles_into(prepared.weights(), inputs, self.config, &mut out);
         Ok(out)
     }
 
@@ -753,14 +746,13 @@ impl EvalBackend for BlockedBackend {
 /// The multi-threaded blocked backend: the same tiled kernel as
 /// [`BlockedBackend`], fanned out over a scoped thread pool.
 ///
-/// Noiseless MVM partitions the batch into contiguous sample chunks,
-/// one per worker, each writing a disjoint slice of the output; when
-/// the batch is smaller than the pool, workers instead take contiguous
-/// output-row blocks. Either way every output cell is still one
-/// full-length ascending-index [`dot`] computed by exactly one worker,
-/// so results are **bit-identical** to [`NaiveBackend`] at any thread
-/// count — parallelism only changes which thread computes a cell, never
-/// the reduction inside it.
+/// Noiseless MVM and power partition the batch into contiguous sample
+/// chunks, one per worker, each writing a disjoint slice of the output
+/// through [`xbar_linalg::par::for_each_chunk`]. Every output cell is
+/// still one full-length ascending-index [`dot`] computed by exactly one
+/// worker, so results are **bit-identical** to [`NaiveBackend`] at any
+/// thread count — parallelism only changes which thread computes a
+/// cell, never the reduction inside it.
 ///
 /// Noisy variants stay sequential per sample: the per-sample RNG-stream
 /// factory is an exclusive closure, and per-device draw order is part
@@ -800,11 +792,7 @@ impl ParallelBackend {
     /// The worker count actually used: the configured count, or the
     /// host's available parallelism when configured as `0`.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
+        par::resolve_threads(self.threads)
     }
 }
 
@@ -829,54 +817,13 @@ impl EvalBackend for ParallelBackend {
         let m = w_eff.rows();
         let config = self.config;
         let mut out: Vec<Vec<f64>> = inputs.iter().map(|_| vec![0.0; m]).collect();
-        let threads = self
-            .resolved_threads()
-            .min(inputs.len().max(1))
-            .min(m.max(1));
-        if threads <= 1 || inputs.is_empty() {
-            mvm_tiles_into(w_eff, inputs, 0, m, config, &mut out);
-            return Ok(out);
-        }
-        if inputs.len() >= threads {
-            // Wide batch: contiguous sample chunks, one per worker,
-            // each writing its own disjoint output slice.
-            let chunk = inputs.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (input_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        mvm_tiles_into(w_eff, input_chunk, 0, m, config, out_chunk);
-                    });
-                }
-            });
-        } else {
-            // Narrow batch: contiguous output-row blocks, one per
-            // worker, computed into worker-local buffers and stitched
-            // back (an O(M·B) copy against O(M·N·B) compute).
-            let rows_per = m.div_ceil(threads);
-            let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..m)
-                    .step_by(rows_per)
-                    .map(|row0| {
-                        let row1 = (row0 + rows_per).min(m);
-                        scope.spawn(move || {
-                            let mut local: Vec<Vec<f64>> =
-                                inputs.iter().map(|_| vec![0.0; row1 - row0]).collect();
-                            mvm_tiles_into(w_eff, inputs, row0, row1, config, &mut local);
-                            (row0, local)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("parallel mvm worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (row0, local) in partials {
-                for (sample_out, rows) in out.iter_mut().zip(local) {
-                    sample_out[row0..row0 + rows.len()].copy_from_slice(&rows);
-                }
-            }
-        }
+        // Contiguous sample chunks, one per worker, each writing its own
+        // disjoint output slice.
+        let threads = self.resolved_threads().min(m.max(1));
+        par::for_each_chunk(&mut out, threads, |start, out_chunk| {
+            let input_chunk = &inputs[start..start + out_chunk.len()];
+            mvm_tiles_into(w_eff, input_chunk, config, out_chunk);
+        });
         Ok(out)
     }
 
@@ -893,24 +840,16 @@ impl EvalBackend for ParallelBackend {
         xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
         let conductances = prepared.line_conductances();
         let v_dd = model.v_dd;
-        let threads = self.resolved_threads();
-        let mut out = vec![0.0; inputs.len()];
-        if threads <= 1 || inputs.len() < 2 * threads {
+        let mut threads = self.resolved_threads();
+        if inputs.len() < 2 * threads {
             // One O(N) dot per sample: not worth a fan-out below a few
             // samples per worker.
-            for (o, input) in out.iter_mut().zip(inputs) {
-                *o = v_dd * dot(conductances, input);
-            }
-            return Ok(out);
+            threads = 1;
         }
-        let chunk = inputs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (input_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (o, input) in out_chunk.iter_mut().zip(input_chunk) {
-                        *o = v_dd * dot(conductances, input);
-                    }
-                });
+        let mut out = vec![0.0; inputs.len()];
+        par::for_each_chunk(&mut out, threads, |start, out_chunk| {
+            for (o, input) in out_chunk.iter_mut().zip(&inputs[start..]) {
+                *o = v_dd * dot(conductances, input);
             }
         });
         Ok(out)
@@ -1038,9 +977,8 @@ mod tests {
             let refs = refs(&inputs);
             let naive = mvm(&NaiveBackend, &xbar, &refs).unwrap();
             let p_naive = power(&NaiveBackend, &model, &xbar, &refs).unwrap();
-            // 0 = auto; 1 = inline; small and oversubscribed pools; both
-            // the sample-chunk (b >= threads) and row-block (b < threads)
-            // paths are crossed.
+            // 0 = auto; 1 = inline; small and oversubscribed pools,
+            // including more threads than samples (b < threads).
             for threads in [0usize, 1, 2, 3, 8, 32] {
                 let parallel = ParallelBackend::new(BatchConfig::default(), threads).unwrap();
                 assert_eq!(

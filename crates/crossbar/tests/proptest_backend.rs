@@ -171,9 +171,9 @@ proptest! {
 
     /// The parallel kernel == naive, bit for bit, at any thread count
     /// (including auto and heavy oversubscription), any tile
-    /// configuration, and any split of the batch — both the sample-chunk
-    /// path (wide batches) and the row-block path (narrow batches) are
-    /// crossed as `batch` and `threads` vary.
+    /// configuration, and any split of the batch — batches smaller than
+    /// the pool are crossed too, where the worker count is capped at the
+    /// sample count.
     #[test]
     fn parallel_matches_naive_across_thread_counts_and_splits(
         m in 1usize..12,

@@ -4,10 +4,10 @@
 //! Every random draw in a chain comes from a [`ChaCha8Rng`] stream
 //! keyed by `(campaign_seed, chain_index, step)` — never by thread
 //! identity or scheduling — so a chain's draws are a pure function of
-//! its key. [`run_chains`] fans chains out over `std::thread::scope`
-//! with the same discipline as the crossbar's `ParallelBackend`:
-//! results are assembled by chain index and are bit-identical at any
-//! thread count.
+//! its key. [`run_chains`] fans chains out over
+//! [`xbar_linalg::par::for_each_chunk`], the same deterministic map the
+//! crossbar's `ParallelBackend` uses: results are assembled by chain
+//! index and are bit-identical at any thread count.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -166,9 +166,9 @@ pub fn run_chain<M: BayesModel + ?Sized>(
     })
 }
 
-/// Runs `num_chains` independent chains, fanning out over
-/// `std::thread::scope` when `threads > 1` (`threads == 0` uses one
-/// worker per available core, capped at the chain count).
+/// Runs `num_chains` independent chains, fanning contiguous chain
+/// ranges out over [`xbar_linalg::par::for_each_chunk`] (`threads == 0`
+/// uses one worker per available core, capped at the chain count).
 ///
 /// Chains are keyed by `(campaign_seed, chain_index, step)` and
 /// assembled by chain index, so the result is bit-identical at any
@@ -191,57 +191,16 @@ pub fn run_chains<M: BayesModel + ?Sized>(
     }
     kernel.validate(model)?;
     let _span = xbar_obs::span(xbar_obs::names::SPAN_INFER_CHAINS);
-    let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(num_chains)
-    .max(1);
-
-    let results: Vec<Result<ChainResult>> = if workers == 1 {
-        (0..num_chains)
-            .map(|c| run_chain(model, kernel, config, campaign_seed, c))
-            .collect()
-    } else {
-        let mut slots: Vec<Option<Result<ChainResult>>> = (0..num_chains).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            // Contiguous chain ranges per worker; each worker writes
-            // only its own disjoint slice of the slot vector.
-            let chunk = num_chains.div_ceil(workers);
-            let mut rest = slots.as_mut_slice();
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (mine, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let start = base;
-                base += take;
-                scope.spawn(move || {
-                    for (offset, slot) in mine.iter_mut().enumerate() {
-                        *slot = Some(run_chain(
-                            model,
-                            kernel,
-                            config,
-                            campaign_seed,
-                            start + offset,
-                        ));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every chain slot is filled by its worker"))
-            .collect()
-    };
-
-    let mut chains = Vec::with_capacity(num_chains);
-    for result in results {
-        chains.push(result?);
-    }
+    let mut slots: Vec<Option<Result<ChainResult>>> = (0..num_chains).map(|_| None).collect();
+    xbar_linalg::par::for_each_chunk(&mut slots, threads, |start, mine| {
+        for (chain, slot) in (start..).zip(mine) {
+            *slot = Some(run_chain(model, kernel, config, campaign_seed, chain));
+        }
+    });
+    let chains = slots
+        .into_iter()
+        .map(|s| s.expect("every chain slot is filled by its worker"))
+        .collect::<Result<Vec<_>>>()?;
     // Aggregate observability once, on the caller's thread, so counters
     // land in the surrounding trial's totals regardless of how the
     // chains were scheduled.

@@ -23,8 +23,8 @@
 //!   support, with every random draw keyed by
 //!   `(campaign_seed, chain_index, step)` so results are bit-identical
 //!   at any thread count ([`run_chains`] parallelises over
-//!   `std::thread::scope`, the same discipline as the crossbar's
-//!   `ParallelBackend`).
+//!   `xbar_linalg::par::for_each_chunk`, the same deterministic map the
+//!   crossbar's `ParallelBackend` uses).
 //! * [`likelihood`] — the power-observation likelihood:
 //!   [`PowerObservations`] wraps `Oracle::query_batch` /
 //!   `Oracle::observe_batch_keyed`, so inference composes with faults,

@@ -6,7 +6,10 @@
 //! layer, and the attack library need, implemented from scratch:
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with elementwise ops,
-//!   (rayon-parallel) matrix multiplication, norms, stacking and slicing.
+//!   row-parallel matrix multiplication, norms, stacking and slicing.
+//! * [`par`] — the workspace's one deterministic parallel map
+//!   ([`par::for_each_chunk`]), used by the matmuls here, the crossbar's
+//!   parallel backend and the MCMC chain runner.
 //! * [`vec_ops`] — slice-level vector kernels (dot, axpy, norms, argmax).
 //! * [`qr`] — Householder QR and least-squares solves.
 //! * [`lu`] — LU with partial pivoting, determinants, inverses.
@@ -36,6 +39,7 @@ pub mod cholesky;
 mod error;
 pub mod lu;
 mod matrix;
+pub mod par;
 pub mod qr;
 pub mod svd;
 pub mod vec_ops;

@@ -1,14 +1,32 @@
-use crate::{LinalgError, Result};
+use crate::{par, LinalgError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-/// Minimum number of rows before [`Matrix::matmul`] switches to the
-/// rayon-parallel kernel. Below this the sequential kernel is faster.
+/// Minimum number of rows before [`Matrix::matmul`] and
+/// [`Matrix::matmul_nt`] split their rows over every available core.
+/// Below this the sequential kernel is faster.
 const PAR_ROW_THRESHOLD: usize = 64;
+
+/// Runs `kernel(i, row)` on every `n`-wide output row of `out`, on
+/// contiguous row blocks across all cores at or above
+/// [`PAR_ROW_THRESHOLD`] rows and inline below it. Rows are
+/// independent, so the split cannot change results.
+fn for_each_row(out: &mut [f64], n: usize, kernel: impl Fn(usize, &mut [f64]) + Sync) {
+    let mut rows: Vec<&mut [f64]> = out.chunks_mut(n.max(1)).collect();
+    let threads = if rows.len() >= PAR_ROW_THRESHOLD {
+        0
+    } else {
+        1
+    };
+    par::for_each_chunk(&mut rows, threads, |start, block| {
+        for (i, row) in (start..).zip(block) {
+            kernel(i, row);
+        }
+    });
+}
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -399,8 +417,8 @@ impl Matrix {
 
     /// Matrix-matrix product `self * other`.
     ///
-    /// Uses a cache-friendly `ikj` kernel, parallelised over row blocks with
-    /// rayon once the output has at least `PAR_ROW_THRESHOLD` rows.
+    /// Uses a cache-friendly `ikj` kernel, parallelised over row blocks
+    /// once the output has at least `PAR_ROW_THRESHOLD` rows.
     ///
     /// # Panics
     ///
@@ -439,15 +457,7 @@ impl Matrix {
                 }
             }
         };
-        if m >= PAR_ROW_THRESHOLD {
-            out.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.chunks_mut(n).enumerate() {
-                kernel(i, row);
-            }
-        }
+        for_each_row(&mut out, n, kernel);
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -464,8 +474,8 @@ impl Matrix {
     /// performs — so `a.matmul_nt(&b)` row `i` is bit-identical to
     /// `b.matvec(a.row(i))`. Batch evaluation paths rely on this to stay
     /// bit-identical to their per-vector counterparts. Rows are
-    /// independent, so the rayon split above `PAR_ROW_THRESHOLD` cannot
-    /// change results.
+    /// independent, so the parallel split above `PAR_ROW_THRESHOLD`
+    /// cannot change results.
     ///
     /// # Errors
     ///
@@ -487,15 +497,7 @@ impl Matrix {
                 *o = crate::vec_ops::dot(a_row, b_row);
             }
         };
-        if m >= PAR_ROW_THRESHOLD {
-            out.par_chunks_mut(n.max(1))
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.chunks_mut(n.max(1)).enumerate() {
-                kernel(i, row);
-            }
-        }
+        for_each_row(&mut out, n, kernel);
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -955,7 +957,7 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_sequential() {
-        // Exceeds PAR_ROW_THRESHOLD so the rayon path is exercised.
+        // Exceeds PAR_ROW_THRESHOLD so the parallel path is exercised.
         let mut r = rng();
         let a = Matrix::random_uniform(100, 40, -1.0, 1.0, &mut r);
         let b = Matrix::random_uniform(40, 30, -1.0, 1.0, &mut r);
@@ -972,6 +974,15 @@ mod tests {
             }
         }
         assert!(par.approx_eq(&seq, 1e-10));
+    }
+
+    #[test]
+    fn matmul_with_zero_columns_is_empty_not_a_panic() {
+        // 2 rows take the sequential path, 64 the parallel one.
+        for m in [2, PAR_ROW_THRESHOLD] {
+            let c = Matrix::zeros(m, 3).checked_matmul(&Matrix::zeros(3, 0));
+            assert_eq!(c.unwrap().shape(), (m, 0));
+        }
     }
 
     #[test]
@@ -1005,7 +1016,7 @@ mod tests {
     #[test]
     fn matmul_nt_matches_explicit_transpose_and_matvec() {
         let mut r = rng();
-        // Exceeds PAR_ROW_THRESHOLD so the rayon path is exercised.
+        // Exceeds PAR_ROW_THRESHOLD so the parallel path is exercised.
         let a = Matrix::random_uniform(70, 9, -1.0, 1.0, &mut r);
         let b = Matrix::random_uniform(5, 9, -1.0, 1.0, &mut r);
         let got = a.matmul_nt(&b).unwrap();
