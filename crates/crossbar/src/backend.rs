@@ -24,10 +24,13 @@
 //!   over the existing per-vector calls against the prepared snapshot.
 //! * [`BlockedBackend`] — evaluates from the prepared weights (or line
 //!   conductances) with a cache-blocked kernel over `outputs x batch`
-//!   tiles. Every output cell is still one full-length ascending-index
-//!   [`xbar_linalg::vec_ops::dot`] — the identical floating-point
-//!   reduction the per-vector path performs — so outputs are
-//!   **bit-identical** to [`NaiveBackend`], not merely close.
+//!   blocks, computed in 4 × 4 register tiles by
+//!   [`xbar_linalg::vec_ops::dot_grid`]. Tiles vectorize across output
+//!   cells, never inside one: every cell is still one full-length
+//!   ascending-index reduction bit-identical to
+//!   [`xbar_linalg::vec_ops::dot`] — the floating-point reduction the
+//!   per-vector path performs — so outputs are **bit-identical** to
+//!   [`NaiveBackend`], not merely close.
 //! * [`ParallelBackend`] — the blocked kernel over contiguous batch
 //!   chunks, one per worker, through
 //!   [`xbar_linalg::par::for_each_chunk`]. Threads only change *which*
@@ -54,7 +57,7 @@ use crate::{CrossbarError, Result};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_linalg::par;
-use xbar_linalg::vec_ops::dot;
+use xbar_linalg::vec_ops::{dot, dot_grid, PackedVectors};
 use xbar_linalg::Matrix;
 
 /// A per-sample RNG-stream factory: maps the index of a sample within
@@ -123,18 +126,21 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Tile sizes for the blocked kernel ([`BlockedBackend`] and
+/// Cache-block sizes for the blocked kernel ([`BlockedBackend`] and
 /// [`ParallelBackend`] workers).
 ///
-/// The defaults keep one tile of effective weights plus the tile's
-/// input/output slices within a typical L1/L2 working set. Tiling never
-/// changes results — each output cell is one full-length reduction — so
+/// The defaults keep one block of effective weights plus the block's
+/// packed inputs within a typical L1/L2 working set. Inside a block the
+/// kernel runs fixed 4 outputs × 4 samples register tiles
+/// ([`xbar_linalg::vec_ops::dot_grid`]), which vectorize across output
+/// cells, never inside one. Neither blocking nor tiling changes results
+/// — each output cell is one full-length ascending-index reduction — so
 /// these are pure performance knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig {
-    /// Output rows per tile.
+    /// Output rows per cache block.
     pub block_outputs: usize,
-    /// Batch samples per tile.
+    /// Batch samples per cache block.
     pub block_samples: usize,
 }
 
@@ -148,25 +154,25 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Builder-style setter for the output-row tile size.
+    /// Builder-style setter for the output-row block size.
     #[must_use]
     pub fn with_block_outputs(mut self, rows: usize) -> Self {
         self.block_outputs = rows;
         self
     }
 
-    /// Builder-style setter for the batch-sample tile size.
+    /// Builder-style setter for the batch-sample block size.
     #[must_use]
     pub fn with_block_samples(mut self, samples: usize) -> Self {
         self.block_samples = samples;
         self
     }
 
-    /// Validates the tile sizes.
+    /// Validates the block sizes.
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidConfig`] if either tile dimension
+    /// Returns [`CrossbarError::InvalidConfig`] if either block dimension
     /// is zero.
     pub fn validate(&self) -> Result<()> {
         if self.block_outputs == 0 {
@@ -551,23 +557,23 @@ fn noisy_power_per_sample(
 /// into `out[s][i]`.
 ///
 /// This is the one kernel [`BlockedBackend`] and every
-/// [`ParallelBackend`] worker run: each output cell is one full-length
-/// ascending-index [`dot`] — the identical reduction `checked_mvm`'s
-/// `matvec` performs — so tile boundaries and work partitioning never
-/// change a single bit of the result.
+/// [`ParallelBackend`] worker run. Each `block_samples` block of inputs
+/// is packed once and met by each `block_outputs` block of weight rows
+/// through [`dot_grid`], whose register tiles vectorize across output
+/// cells, never inside one: each cell is one full-length
+/// ascending-index reduction bit-identical to [`dot`] — the reduction
+/// `checked_mvm`'s `matvec` performs — so tile boundaries and work
+/// partitioning never change a single bit of the result.
 fn mvm_tiles_into(w_eff: &Matrix, inputs: &[&[f64]], config: BatchConfig, out: &mut [Vec<f64>]) {
-    let m = w_eff.rows();
+    let rows: Vec<&[f64]> = w_eff.rows_iter().collect();
     let bo = config.block_outputs.max(1);
     let bs = config.block_samples.max(1);
-    for s0 in (0..inputs.len()).step_by(bs) {
-        let s1 = (s0 + bs).min(inputs.len());
-        for i0 in (0..m).step_by(bo) {
-            let i1 = (i0 + bo).min(m);
-            for (sample_out, input) in out[s0..s1].iter_mut().zip(&inputs[s0..s1]) {
-                for (i, cell) in (i0..i1).zip(&mut sample_out[i0..i1]) {
-                    *cell = dot(w_eff.row(i), input);
-                }
-            }
+    for (input_block, out_block) in inputs.chunks(bs).zip(out.chunks_mut(bs)) {
+        let packed = PackedVectors::new(input_block);
+        for (i0, row_block) in (0..).step_by(bo).zip(rows.chunks(bo)) {
+            dot_grid(row_block, &packed, |r, s, value| {
+                out_block[s][i0 + r] = value
+            });
         }
     }
 }
@@ -644,8 +650,9 @@ impl EvalBackend for NaiveBackend {
 /// The cache-blocked batch backend.
 ///
 /// Noiseless evaluation reads the handle's materialised weights (or
-/// line conductances) and walks `outputs x batch` tiles so a tile of
-/// weight rows stays cache-resident across the tile's samples. Each
+/// line conductances) and walks `outputs x batch` blocks so a block of
+/// weight rows stays cache-resident across the block's samples, in
+/// register tiles that vectorize across cells, never inside one. Each
 /// output cell is one full-length ascending-index dot product, so every
 /// number equals the per-vector path's bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -818,9 +825,9 @@ impl EvalBackend for ParallelBackend {
         let config = self.config;
         let mut out: Vec<Vec<f64>> = inputs.iter().map(|_| vec![0.0; m]).collect();
         // Contiguous sample chunks, one per worker, each writing its own
-        // disjoint output slice.
-        let threads = self.resolved_threads().min(m.max(1));
-        par::for_each_chunk(&mut out, threads, |start, out_chunk| {
+        // disjoint output slice; `for_each_chunk` caps the workers at the
+        // batch size.
+        par::for_each_chunk(&mut out, self.resolved_threads(), |start, out_chunk| {
             let input_chunk = &inputs[start..start + out_chunk.len()];
             mvm_tiles_into(w_eff, input_chunk, config, out_chunk);
         });

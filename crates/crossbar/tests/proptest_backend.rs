@@ -85,6 +85,25 @@ fn noisy_power<B: EvalBackend + ?Sized>(
     backend.noisy_power_prepared(model, &prepared, array, inputs, &mut streams)
 }
 
+/// At the oracle's 1M-device scale, with a batch that is not a multiple
+/// of the register tile's four vectors, the blocked kernel and a
+/// two-worker parallel split stay bit-identical to the per-vector loop.
+#[test]
+fn blocked_and_parallel_match_naive_at_a_million_devices() {
+    let (m, n, batch) = (1024, 1024, 37);
+    let array = programmed(m, n, 0x1024, &DeviceModel::ideal());
+    let inputs = sample_batch(batch, n, 0x37);
+    let refs: Vec<&[f64]> = (0..batch).map(|b| inputs.row(b)).collect();
+    let naive = mvm(&NaiveBackend, &array, &refs).unwrap();
+    let blocked = mvm(&BlockedBackend::default(), &array, &refs).unwrap();
+    assert!(blocked == naive, "blocked differs from naive");
+    let parallel = ParallelBackend::new(BatchConfig::default(), 2).unwrap();
+    assert!(
+        mvm(&parallel, &array, &refs).unwrap() == naive,
+        "parallel:2 differs from naive"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -93,9 +112,9 @@ proptest! {
     /// than the problem).
     #[test]
     fn blocked_matches_naive_bit_identically(
-        m in 1usize..10,
+        m in 1usize..14,
         n in 1usize..12,
-        batch in 1usize..9,
+        batch in 1usize..13,
         block_outputs in 1usize..12,
         block_samples in 1usize..10,
         seed in any::<u64>(),
@@ -176,9 +195,9 @@ proptest! {
     /// sample count.
     #[test]
     fn parallel_matches_naive_across_thread_counts_and_splits(
-        m in 1usize..12,
+        m in 1usize..14,
         n in 1usize..12,
-        batch in 1usize..10,
+        batch in 1usize..14,
         threads in 0usize..9,
         block_outputs in 1usize..8,
         split_at in 0usize..10,

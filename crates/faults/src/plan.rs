@@ -5,6 +5,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_crossbar::array::CrossbarArray;
+use xbar_linalg::par;
 
 use crate::spec::FaultSpec;
 use crate::{FaultsError, Result};
@@ -56,14 +57,19 @@ impl FaultKey {
         }
     }
 
-    /// The RNG owning device `device_index`'s draws under this key.
-    fn device_rng(&self, device_index: u64) -> ChaCha8Rng {
+    /// The keyed generator on stream 0, before any draw. Device `d`'s
+    /// RNG is a clone of it moved to stream `d`, which derives the seed
+    /// once per plan instead of once per device.
+    fn base_rng(&self) -> ChaCha8Rng {
         let base = splitmix64(self.campaign_seed ^ splitmix64(self.trial_index ^ FAULT_DOMAIN));
-        let mut rng = ChaCha8Rng::seed_from_u64(base);
-        rng.set_stream(device_index);
-        rng
+        ChaCha8Rng::seed_from_u64(base)
     }
 }
+
+/// Devices per unit of parallel work in [`FaultSpec::compile`]. A plan
+/// of at most this many devices compiles inline on the caller's thread,
+/// so campaign trials that already run one per core do not oversubscribe.
+const COMPILE_CHUNK: usize = 1 << 16;
 
 /// A spec/key pair — the serializable "inject these faults for this
 /// trial" value that configs (e.g. `OracleConfig`) carry.
@@ -160,40 +166,30 @@ impl FaultSpec {
             });
         }
         let num_devices = 2 * outputs * inputs;
-        let mut stuck = Vec::with_capacity(num_devices);
-        let mut scale = Vec::with_capacity(num_devices);
-        let mut drift = Vec::with_capacity(num_devices);
-        let (mut stuck_on, mut stuck_off) = (0usize, 0usize);
-        let variation = self.variation_sigma > 0.0;
-        let drifting = self.drift_active();
-        for d in 0..num_devices {
-            let mut rng = key.device_rng(d as u64);
-            // Fixed draw order per device; all three always consumed.
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let z_var = gaussian(&mut rng);
-            let z_drift = gaussian(&mut rng);
-            let kind = if u < self.stuck_on_rate {
-                stuck_on += 1;
-                StuckKind::On
-            } else if u < self.stuck_on_rate + self.stuck_off_rate {
-                stuck_off += 1;
-                StuckKind::Off
-            } else {
-                StuckKind::Free
-            };
-            stuck.push(kind);
-            scale.push(if variation {
-                (self.variation_sigma * z_var).exp()
-            } else {
-                1.0
-            });
-            drift.push(if drifting {
-                let nu_d = self.drift_nu * (self.drift_sigma * z_drift).exp();
-                (1.0 + self.drift_time).powf(-nu_d)
-            } else {
-                1.0
-            });
-        }
+        let mut stuck = vec![StuckKind::Free; num_devices];
+        let mut scale = vec![1.0; num_devices];
+        let mut drift = vec![1.0; num_devices];
+        let base = key.base_rng();
+        // Each device draws from its own stream, so filling the arrays
+        // in place chunk by chunk on any number of threads gives the
+        // same plan as one sequential pass.
+        let mut chunks: Vec<_> = stuck
+            .chunks_mut(COMPILE_CHUNK)
+            .zip(scale.chunks_mut(COMPILE_CHUNK))
+            .zip(drift.chunks_mut(COMPILE_CHUNK))
+            .collect();
+        par::for_each_chunk(&mut chunks, 0, |first, block| {
+            for (c, ((stuck, scale), drift)) in (first..).zip(block) {
+                let devices = stuck.iter_mut().zip(scale.iter_mut()).zip(drift.iter_mut());
+                for (d, ((kind, s), f)) in (c * COMPILE_CHUNK..).zip(devices) {
+                    let mut rng = base.clone();
+                    rng.set_stream(d as u64);
+                    (*kind, *s, *f) = self.draw_device(&mut rng);
+                }
+            }
+        });
+        let stuck_on = stuck.iter().filter(|&&k| k == StuckKind::On).count();
+        let stuck_off = stuck.iter().filter(|&&k| k == StuckKind::Off).count();
         let line_scale = (0..inputs)
             .map(|j| {
                 if self.line_resistance > 0.0 {
@@ -221,6 +217,34 @@ impl FaultSpec {
             stuck_on,
             stuck_off,
         })
+    }
+
+    /// One device's frozen decisions — stuck kind, variation factor,
+    /// drift factor — from its own RNG, always consuming the same three
+    /// draws (see [`FaultSpec::compile`]).
+    fn draw_device(&self, rng: &mut ChaCha8Rng) -> (StuckKind, f64, f64) {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        let z_var = gaussian(rng);
+        let z_drift = gaussian(rng);
+        let kind = if u < self.stuck_on_rate {
+            StuckKind::On
+        } else if u < self.stuck_on_rate + self.stuck_off_rate {
+            StuckKind::Off
+        } else {
+            StuckKind::Free
+        };
+        let scale = if self.variation_sigma > 0.0 {
+            (self.variation_sigma * z_var).exp()
+        } else {
+            1.0
+        };
+        let drift = if self.drift_active() {
+            let nu_d = self.drift_nu * (self.drift_sigma * z_drift).exp();
+            (1.0 + self.drift_time).powf(-nu_d)
+        } else {
+            1.0
+        };
+        (kind, scale, drift)
     }
 }
 
@@ -468,6 +492,57 @@ mod tests {
                 got: (4, 3)
             })
         ));
+    }
+
+    #[test]
+    fn chunked_compile_matches_the_documented_per_device_keying() {
+        // Above one compile chunk, so the plan is filled chunk by chunk
+        // on several threads.
+        let (outputs, inputs) = (129, 256);
+        let num_devices = 2 * outputs * inputs;
+        assert!(num_devices > COMPILE_CHUNK);
+        let spec = FaultSpec::none()
+            .with_stuck_on_rate(0.01)
+            .with_stuck_off_rate(0.02)
+            .with_variation_sigma(0.1)
+            .with_drift(0.05, 0.2, 100.0);
+        let key = FaultKey::new(0xC0FFEE, 9);
+        let plan = spec.compile(outputs, inputs, key).unwrap();
+        // Every device: the first and last, and both sides of every chunk
+        // boundary.
+        for d in 0..num_devices {
+            let mut rng = ChaCha8Rng::seed_from_u64(splitmix64(
+                key.campaign_seed ^ splitmix64(key.trial_index ^ FAULT_DOMAIN),
+            ));
+            rng.set_stream(d as u64);
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let z_var = gaussian(&mut rng);
+            let z_drift = gaussian(&mut rng);
+            let kind = if u < 0.01 {
+                StuckKind::On
+            } else if u < 0.01 + 0.02 {
+                StuckKind::Off
+            } else {
+                StuckKind::Free
+            };
+            let nu_d = 0.05 * (0.2 * z_drift).exp();
+            assert_eq!(plan.stuck[d], kind, "device {d}");
+            assert_eq!(
+                plan.scale[d].to_bits(),
+                (0.1 * z_var).exp().to_bits(),
+                "device {d}"
+            );
+            assert_eq!(
+                plan.drift[d].to_bits(),
+                101.0_f64.powf(-nu_d).to_bits(),
+                "device {d}"
+            );
+        }
+        let on = plan.stuck.iter().filter(|&&k| k == StuckKind::On).count();
+        assert_eq!(
+            (plan.stuck_on(), plan.stuck_devices()),
+            (on, on + plan.stuck_off())
+        );
     }
 
     #[test]

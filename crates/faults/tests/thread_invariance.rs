@@ -81,3 +81,27 @@ fn faulted_arrays_are_identical_across_threads() {
         assert_eq!(handle.join().unwrap(), reference);
     }
 }
+
+#[test]
+fn plans_above_one_compile_chunk_are_thread_invariant() {
+    // 2·160·256 = 81,920 devices: more than one compile chunk, so the
+    // plan is filled on several threads, here also from several
+    // compiling threads at once.
+    let spec = sweep_spec();
+    let key = FaultKey::new(424242, 3);
+    let reference = spec.compile(160, 256, key).unwrap();
+    let handles: Vec<_> = (0..3)
+        .map(|_| thread::spawn(move || spec.compile(160, 256, key).unwrap()))
+        .collect();
+    for handle in handles {
+        assert_eq!(handle.join().unwrap(), reference);
+    }
+    // Device `d`'s draws depend on `d` alone, so a plan of another
+    // shape, small enough to compile inline in one chunk, agrees on
+    // every device it shares.
+    let narrow = spec.compile(1, 20_000, key).unwrap();
+    assert_eq!(
+        &reference.drift_factors()[..narrow.num_devices()],
+        narrow.drift_factors()
+    );
+}

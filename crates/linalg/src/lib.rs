@@ -9,8 +9,10 @@
 //!   row-parallel matrix multiplication, norms, stacking and slicing.
 //! * [`par`] — the workspace's one deterministic parallel map
 //!   ([`par::for_each_chunk`]), used by the matmuls here, the crossbar's
-//!   parallel backend and the MCMC chain runner.
-//! * [`vec_ops`] — slice-level vector kernels (dot, axpy, norms, argmax).
+//!   parallel backend, the MCMC chain runner and fault-plan compilation.
+//! * [`vec_ops`] — slice-level vector kernels (dot, axpy, norms, argmax),
+//!   and `dot_grid`, many dot products at once in register tiles that
+//!   stay bit-identical to `dot`.
 //! * [`qr`] — Householder QR and least-squares solves.
 //! * [`lu`] — LU with partial pivoting, determinants, inverses.
 //! * [`cholesky`] — Cholesky factorisation and ridge-regularised solves.

@@ -1,3 +1,4 @@
+use crate::vec_ops::{dot_grid, PackedVectors};
 use crate::{par, LinalgError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
@@ -10,22 +11,19 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// Below this the sequential kernel is faster.
 const PAR_ROW_THRESHOLD: usize = 64;
 
-/// Runs `kernel(i, row)` on every `n`-wide output row of `out`, on
-/// contiguous row blocks across all cores at or above
-/// [`PAR_ROW_THRESHOLD`] rows and inline below it. Rows are
-/// independent, so the split cannot change results.
-fn for_each_row(out: &mut [f64], n: usize, kernel: impl Fn(usize, &mut [f64]) + Sync) {
+/// Runs `kernel(start, rows)` on contiguous blocks of the `n`-wide
+/// output rows of `out`, where `start` is the index of `rows[0]`: one
+/// block per core at or above [`PAR_ROW_THRESHOLD`] rows, one inline
+/// block below it. Rows are independent, so the split cannot change
+/// results.
+fn for_each_row_block(out: &mut [f64], n: usize, kernel: impl Fn(usize, &mut [&mut [f64]]) + Sync) {
     let mut rows: Vec<&mut [f64]> = out.chunks_mut(n.max(1)).collect();
     let threads = if rows.len() >= PAR_ROW_THRESHOLD {
         0
     } else {
         1
     };
-    par::for_each_chunk(&mut rows, threads, |start, block| {
-        for (i, row) in (start..).zip(block) {
-            kernel(i, row);
-        }
-    });
+    par::for_each_chunk(&mut rows, threads, kernel);
 }
 
 /// A dense, row-major matrix of `f64` values.
@@ -445,19 +443,20 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0; m * n];
-        let kernel = |i: usize, out_row: &mut [f64]| {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * b;
+        for_each_row_block(&mut out, n, |start, out_rows| {
+            for (i, out_row) in (start..).zip(out_rows) {
+                let a_row = &self.data[i * k..(i + 1) * k];
+                for (p, &a_ip) in a_row.iter().enumerate() {
+                    if a_ip == 0.0 {
+                        continue;
+                    }
+                    let b_row = &other.data[p * n..(p + 1) * n];
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += a_ip * b;
+                    }
                 }
             }
-        };
-        for_each_row(&mut out, n, kernel);
+        });
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -469,13 +468,16 @@ impl Matrix {
     /// `self` is `m x k` and `other` is `n x k`, without forming the
     /// transpose.
     ///
-    /// Every output entry is a single row-row [`crate::vec_ops::dot`] —
-    /// the same full-length ascending-index reduction [`Matrix::matvec`]
-    /// performs — so `a.matmul_nt(&b)` row `i` is bit-identical to
-    /// `b.matvec(a.row(i))`. Batch evaluation paths rely on this to stay
-    /// bit-identical to their per-vector counterparts. Rows are
-    /// independent, so the parallel split above `PAR_ROW_THRESHOLD`
-    /// cannot change results.
+    /// Every output entry is bit-identical to a single row-row
+    /// [`crate::vec_ops::dot`] — the same full-length ascending-index
+    /// reduction [`Matrix::matvec`] performs — so `a.matmul_nt(&b)` row
+    /// `i` is bit-identical to `b.matvec(a.row(i))`. Batch evaluation
+    /// paths rely on this to stay bit-identical to their per-vector
+    /// counterparts. The rows of `other` are packed once and every block
+    /// of `self` rows meets them through [`crate::vec_ops::dot_grid`],
+    /// whose register tiles vectorize across output entries, never inside
+    /// one. Rows are independent, so the parallel split above
+    /// `PAR_ROW_THRESHOLD` cannot change results.
     ///
     /// # Errors
     ///
@@ -491,13 +493,14 @@ impl Matrix {
         }
         let (m, n) = (self.rows, other.rows);
         let mut out = vec![0.0; m * n];
-        let kernel = |i: usize, out_row: &mut [f64]| {
-            let a_row = self.row(i);
-            for (o, b_row) in out_row.iter_mut().zip(other.rows_iter()) {
-                *o = crate::vec_ops::dot(a_row, b_row);
-            }
-        };
-        for_each_row(&mut out, n, kernel);
+        let b_rows: Vec<&[f64]> = other.rows_iter().collect();
+        let packed = PackedVectors::new(&b_rows);
+        for_each_row_block(&mut out, n, |start, out_rows| {
+            let a_rows: Vec<&[f64]> = (start..start + out_rows.len())
+                .map(|i| self.row(i))
+                .collect();
+            dot_grid(&a_rows, &packed, |i, j, value| out_rows[i][j] = value);
+        });
         Ok(Matrix {
             rows: m,
             cols: n,
